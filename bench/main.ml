@@ -8,9 +8,8 @@
    ablation-delta ablation-alpha ablation-epoch ablation-timing
    ablation-policy ablation-far ablation-herd [--check]
    ablation-law [--check] ablation-dependency ablation-estimator
-   ablation-source micro e2e [--check] flows [-n N] [--shards K]
-   [--check] soak [--minutes N] [--check] frontier [--check]
-   fig3-shards history all
+   ablation-source micro e2e [--check] flows [-n N] [--check]
+   soak [--minutes N] [--check] frontier [--check] history all
 
    [-j N] runs the independent simulations inside each target on N
    domains (Cluster.Parallel); N = 0 picks the runtime's recommended
@@ -551,349 +550,61 @@ let run_soak ~minutes ~check () =
 (* --- Flow-scale churn benchmark (bench flows) ------------------------- *)
 
 (* N concurrent flows doing request/response churn through the balancer
-   datapath alone (no TCP endpoints), now running on [Cluster.Sharded]:
-   the hosts are partitioned across --shards engine shards (one domain
-   each, synchronized windows; DESIGN.md §14), with shards=1 reproducing
-   the historical single-engine run exactly. A pacer event sends one
-   packet per flow round-robin, the balancer routes it over a fabric
-   link, and the server replies straight back to the client (DSR). Every
-   8th packet of a flow carries FIN and the flow reincarnates under a
-   fresh source port, exercising slab slot recycling, tombstone deletion
-   in the flow table, and wheel-timer idle expiry at full scale. Metrics
-   recorded: aggregate events/s over the whole run, steady-state live
-   words per flow (measured under a forced full major at peak
-   concurrency), major GC counters, and the parallel engine's window /
-   barrier-stall health. *)
+   datapath alone (no TCP endpoints), on [Cluster.Sharded]. A pacer
+   event sends one packet per flow round-robin, the balancer routes it
+   over a fabric link, and the server replies straight back to the
+   client (DSR). Every 8th packet of a flow carries FIN and the flow
+   reincarnates under a fresh source port, exercising slab slot
+   recycling, tombstone deletion in the flow table, and wheel-timer
+   idle expiry at full scale. Printed: events/s over the whole run,
+   steady-state live words per flow (measured under a forced full major
+   at peak concurrency) and major GC counters. Nothing is written: under
+   [--check] the rate and words tripwires compare against the
+   [flows_baseline_*] fields of the newest BENCH_pr*.json carrying
+   them. *)
 
 let flows_clients = Cluster.Sharded.clients
-let flows_rounds = Cluster.Sharded.rounds
 
-(* --shards 0 = one shard per core, capped at the client count (more
-   shards than clients would leave empty engines spinning in the
-   barrier for nothing). *)
-let resolve_shards shards =
-  if shards > 0 then shards
-  else Stdlib.min flows_clients (Domain.recommended_domain_count ())
-
-(* Both [flows] and [fig3-shards] record into this PR's file; each
-   rewrite drops only its own fields (by prefix) and keeps the other
-   target's, so running the two in either order loses nothing. *)
-let bench_pr9 = "BENCH_pr9.json"
-
-let bench_pr9_merge ~prefix fields =
-  let kept =
-    List.filter
-      (fun (k, _) -> not (String.starts_with ~prefix k))
-      (bench_json_read bench_pr9)
-  in
-  bench_json_write bench_pr9 ~bench:"adaptive-shards" (kept @ fields)
-
-let run_flows ~n ~shards ~check () =
-  let shards = resolve_shards shards in
+let run_flows ~n ~check () =
   print_endline
     (Cluster.Report.section
-       (Fmt.str "Flow-scale churn (%d concurrent flows, %d sends, %d shards)"
-          n (flows_rounds * n) shards));
-  let r = Cluster.Sharded.flows ~shards ~n () in
-  let stall =
-    Array.fold_left Stdlib.max 0.0 r.Cluster.Sharded.stats.Des.Shard.stall_seconds
-  in
+       (Fmt.str "Flow-scale churn (%d concurrent flows, %d sends)" n
+          (Cluster.Sharded.rounds * n)));
+  let r = Cluster.Sharded.flows ~n () in
   Fmt.pr
-    "%d events in %.2fs wall = %.0f events/s aggregate; %d responses@.\
+    "%d events in %.2fs wall = %.0f events/s; %d responses@.\
      peak %d tracked flows, %.1f live words/flow (full major: %.3fs)@.\
-     major GC: %d collections, %.0f words promoted@.\
-     %d windows (%d adaptively skipped, %d in drain), %d cross-shard posts, \
-     inbox peak %d bytes, max barrier stall %.3fs@."
+     major GC: %d collections, %.0f words promoted@."
     r.Cluster.Sharded.events r.wall_s r.events_per_sec r.responses
     r.active_peak r.words_per_flow r.full_major_s r.major_collections
-    r.major_words r.stats.Des.Shard.windows
-    r.stats.Des.Shard.skipped_windows r.drain_windows
-    r.stats.Des.Shard.remote_posts r.stats.Des.Shard.inbox_peak_bytes stall;
-  (* Adaptive vs fixed-width window accounting (shards >= 2 only: one
-     shard runs without barriers). The idle-expiry drain phase is where
-     event-horizon widening pays — fixed-width covers the 200 ms drain
-     in span/lookahead windows, adaptive in a handful of jumps — so
-     both totals and the drain-phase counts are recorded, and the CI
-     tripwire below compares the drain phase. The dense send phase
-     gains little by design: its events sit ~1 µs apart, so a widened
-     window is barely larger than a fixed one. *)
-  let fixed =
-    if shards >= 2 then begin
-      let f = Cluster.Sharded.flows ~shards ~adaptive:false ~n () in
-      Fmt.pr
-        "fixed-width windows: %d total, %d in drain (adaptive: %d / %d)@."
-        f.Cluster.Sharded.stats.Des.Shard.windows f.drain_windows
-        r.stats.Des.Shard.windows r.drain_windows;
-      Some f
-    end
-    else None
-  in
-  let path, discovered =
-    bench_json_locate ~key:"flows_baseline_events_per_sec"
-      ~fallback:"BENCH_pr4.json"
-  in
-  require_discovered ~smoke:"flow-smoke" ~key:"flows_baseline_events_per_sec"
-    ~check discovered;
-  let prior = bench_json_read path in
-  let baseline =
-    (* First ever run records itself as the baseline; later runs keep it
-       and update only the current measurement. *)
-    match
-      ( List.assoc_opt "flows_baseline_events_per_sec" prior,
-        List.assoc_opt "flows_baseline_words_per_flow" prior )
-    with
-    | Some eps, Some words -> [ ("flows_baseline_events_per_sec", eps);
-                                ("flows_baseline_words_per_flow", words) ]
-    | _ ->
-        [ ("flows_baseline_events_per_sec", r.events_per_sec);
-          ("flows_baseline_words_per_flow", r.words_per_flow) ]
-  in
-  let window_fields =
-    match fixed with
-    | None -> []
-    | Some f ->
-        [
-          ( "flows_windows_adaptive",
-            float_of_int r.Cluster.Sharded.stats.Des.Shard.windows );
-          ( "flows_windows_fixed",
-            float_of_int f.Cluster.Sharded.stats.Des.Shard.windows );
-          ("flows_drain_windows_adaptive", float_of_int r.drain_windows);
-          ("flows_drain_windows_fixed", float_of_int f.drain_windows);
-        ]
-  in
-  (* Results land in this PR's file; the baseline fields carried forward
-     from the newest file that had them keep discovery working. *)
-  let out = bench_pr9 in
-  bench_pr9_merge ~prefix:"flows_"
-    (baseline
-    @ [
-        ("flows_n", float_of_int r.n);
-        ("flows_shards", float_of_int shards);
-        ("flows_cores", float_of_int (Domain.recommended_domain_count ()));
-        ("flows_events_per_sec", r.events_per_sec);
-        ("flows_wall_s", r.wall_s);
-        ("flows_events", float_of_int r.events);
-        ("flows_responses", float_of_int r.responses);
-        ("flows_live_words_per_flow", r.words_per_flow);
-        ("flows_active_peak", float_of_int r.active_peak);
-        ("flows_major_collections", float_of_int r.major_collections);
-        ("flows_major_words", r.major_words);
-        ("flows_full_major_s", r.full_major_s);
-        ("flows_windows", float_of_int r.stats.Des.Shard.windows);
-        ( "flows_skipped_windows",
-          float_of_int r.stats.Des.Shard.skipped_windows );
-        ("flows_drain_windows", float_of_int r.drain_windows);
-        ( "flows_remote_posts",
-          float_of_int r.stats.Des.Shard.remote_posts );
-        ( "flows_inbox_peak_bytes",
-          float_of_int r.stats.Des.Shard.inbox_peak_bytes );
-        ("flows_barrier_stall_s", stall);
-      ]
-    @ window_fields);
-  Fmt.pr "wrote %s (baseline from %s)@." out path;
-  if check then begin
-    let base_eps = List.assoc "flows_baseline_events_per_sec" baseline in
-    let base_words = List.assoc "flows_baseline_words_per_flow" baseline in
-    Fmt.pr "recorded baseline: %.0f events/s, %.1f words/flow@." base_eps
-      base_words;
-    (* With >= 2 shards, --check re-runs the scenario on one shard for
-       the byte-equality tripwire below; the sequential rate floor is
-       judged against that run — a sharded run on too few cores
-       time-slices and its aggregate rate says nothing about the
-       single-engine datapath the baseline measures. *)
-    let r1 =
-      if shards >= 2 then Some (Cluster.Sharded.flows ~shards:1 ~n ())
-      else None
-    in
-    let seq_eps =
-      match r1 with
-      | Some r1 -> r1.Cluster.Sharded.events_per_sec
-      | None -> r.events_per_sec
-    in
-    if seq_eps < 0.5 *. base_eps then
-      tripwire_fail ~smoke:"flow-smoke" ~tripwire:"rate"
-        "%.0f events/s is below half the recorded baseline (%.0f events/s)"
-        seq_eps base_eps;
-    if r.words_per_flow > 1.5 *. base_words then
-      tripwire_fail ~smoke:"flow-smoke" ~tripwire:"words"
-        "%.1f live words/flow exceeds the recorded budget (%.1f words/flow) \
-         x1.5"
-        r.words_per_flow base_words;
-    match r1 with
-    | None -> ()
-    | Some r1 ->
-      (* Parallel-specific tripwires. Byte-equality: the K-invariant CSV
-         from a 1-shard run of the same scenario must match the sharded
-         run exactly — the determinism contract, checked end to end.
-         Scaling: with >= 2 real shards the aggregate rate must clear 2x
-         the recorded single-core baseline, the floor that catches a
-         serialization regression in the window protocol. Both are
-         skipped when only one shard resolved (nothing parallel ran). *)
-      if not (String.equal r1.Cluster.Sharded.csv r.Cluster.Sharded.csv) then
-        tripwire_fail ~smoke:"shard-smoke" ~tripwire:"determinism"
-          "shards=%d CSV differs from shards=1 CSV at n=%d" shards n;
-      Fmt.pr "determinism: shards=%d CSV byte-identical to shards=1@." shards;
-      (match fixed with
-      | None -> ()
-      | Some f ->
-          if not (String.equal f.Cluster.Sharded.csv r.Cluster.Sharded.csv)
-          then
-            tripwire_fail ~smoke:"shard-smoke" ~tripwire:"determinism"
-              "adaptive CSV differs from fixed-width CSV at shards=%d n=%d"
-              shards n;
-          Fmt.pr
-            "determinism: adaptive CSV byte-identical to fixed-width@.";
-          (* The event-horizon optimisation must collapse the idle-heavy
-             drain phase by at least 3x; the dense send phase is exempt
-             (its windows are event-bound either way). *)
-          if 3 * r.drain_windows > f.drain_windows then
-            tripwire_fail ~smoke:"shard-smoke" ~tripwire:"adaptive-windows"
-              "adaptive drain took %d windows, not >= 3x fewer than \
-               fixed-width's %d"
-              r.drain_windows f.drain_windows;
-          Fmt.pr
-            "adaptive drain: %d windows vs fixed-width %d (%.0fx fewer)@."
-            r.drain_windows f.drain_windows
-            (float_of_int f.drain_windows
-            /. float_of_int (Stdlib.max 1 r.drain_windows)));
-      (* The scaling floor only means something when every shard got a
-         core: oversubscribed (more shards than cores) the domains
-         time-slice and barrier stall dominates by construction. *)
-      if Domain.recommended_domain_count () >= shards then begin
-        if r.events_per_sec < 2.0 *. base_eps then
-          tripwire_fail ~smoke:"shard-smoke" ~tripwire:"parallel-rate"
-            "aggregate %.0f events/s with %d shards is below 2x the recorded \
-             single-core baseline (%.0f events/s)"
-            r.events_per_sec shards base_eps
+    r.major_words;
+  let key = "flows_baseline_events_per_sec" in
+  match Cluster.Bench_store.locate_opt ~key () with
+  | None ->
+      require_discovered ~smoke:"flow-smoke" ~key ~check false;
+      Fmt.pr "no recorded baseline to compare against@."
+  | Some path ->
+      let prior = bench_json_read path in
+      let base_eps = List.assoc key prior in
+      let base_words =
+        Option.value ~default:Float.infinity
+          (List.assoc_opt "flows_baseline_words_per_flow" prior)
+      in
+      Fmt.pr "recorded baseline (%s): %.0f events/s, %.1f words/flow@." path
+        base_eps base_words;
+      if check then begin
+        if r.events_per_sec < 0.5 *. base_eps then
+          tripwire_fail ~smoke:"flow-smoke" ~tripwire:"rate"
+            "%.0f events/s is below half the recorded baseline (%.0f \
+             events/s)"
+            r.events_per_sec base_eps;
+        if r.words_per_flow > 1.5 *. base_words then
+          tripwire_fail ~smoke:"flow-smoke" ~tripwire:"words"
+            "%.1f live words/flow exceeds the recorded budget (%.1f \
+             words/flow) x1.5"
+            r.words_per_flow base_words;
+        Fmt.pr "flow-smoke: ok@."
       end
-      else
-        Fmt.pr
-          "parallel-rate tripwire skipped: %d shards on %d cores \
-           (oversubscribed)@."
-          shards
-          (Domain.recommended_domain_count ())
-  end
-
-(* --- Sharded Fig 3: K-invariance of the full experiment --------------- *)
-
-(* Every field the figure renders from, serialized exactly (hex floats):
-   two runs of the same seed must produce the same signature regardless
-   of how the scenario was sharded. [metrics] and [shard_stats] are
-   deliberately excluded — the snapshot row stream interleaves per-shard
-   registries and the barrier counters depend on K by definition. *)
-let fig3_signature (result : Cluster.Fig3.result) =
-  let buf = Buffer.create 4096 in
-  let f v = Buffer.add_string buf (Fmt.str "%h;" v) in
-  let i v = Buffer.add_string buf (Fmt.str "%d;" v) in
-  let opt = function None -> Buffer.add_string buf "-;" | Some v -> f v in
-  List.iter
-    (fun (r : Cluster.Fig3.run_result) ->
-      Buffer.add_string buf (Inband.Policy.to_string r.policy);
-      Buffer.add_char buf '|';
-      f r.p95_before_us;
-      f r.p95_after_us;
-      i r.responses;
-      f r.throughput_rps;
-      opt r.reaction_ms;
-      opt r.recovery_ms;
-      i r.actions;
-      (match r.weights_final with
-      | None -> Buffer.add_string buf "-;"
-      | Some w -> Array.iter f w);
-      f r.pool_disruption;
-      f r.victim_share_before;
-      f r.victim_share_after;
-      List.iter
-        (fun (row : Cluster.Fig3.series_row) ->
-          f row.t_s;
-          i row.count;
-          f row.p95_us;
-          f row.mean_us)
-        r.series;
-      Buffer.add_char buf '\n')
-    result.runs;
-  Buffer.contents buf
-
-(* A compressed Fig 3 (6 s, injection at 2 s) at K in {1, 2, 4} scenario
-   shards. The published result must be byte-identical across K — the
-   end-to-end form of the determinism contract, covering the sharded
-   scenario wiring, merged telemetry reads and adaptive widening all at
-   once — and the largest K's window accounting lands in BENCH_pr9.json.
-   Always a gate: a mismatch fails the run with or without --check. *)
-let fig3_shards_ks = [ 1; 2; 4 ]
-
-let run_fig3_shards ~jobs () =
-  print_endline
-    (Cluster.Report.section
-       "Sharded Fig 3: byte-equality across shard counts");
-  let duration = Des.Time.sec 6 and inject_at = Des.Time.sec 2 in
-  let runs =
-    List.map
-      (fun shards ->
-        let scenario =
-          { Cluster.Fig3.default_scenario with Cluster.Scenario.shards }
-        in
-        let t0 = Unix.gettimeofday () in
-        let r = Cluster.Fig3.run ~scenario ~jobs ~duration ~inject_at () in
-        (shards, r, Unix.gettimeofday () -. t0))
-      fig3_shards_ks
-  in
-  let sum field (result : Cluster.Fig3.result) =
-    List.fold_left (fun acc r -> acc + field r.Cluster.Fig3.shard_stats) 0
-      result.runs
-  in
-  let max_stall (result : Cluster.Fig3.result) =
-    List.fold_left
-      (fun acc r ->
-        Array.fold_left Stdlib.max acc
-          r.Cluster.Fig3.shard_stats.Des.Shard.stall_seconds)
-      0.0 result.runs
-  in
-  let headers =
-    [ "shards"; "wall s"; "windows"; "skipped"; "remote posts"; "stall s" ]
-  in
-  let rows =
-    List.map
-      (fun (k, r, wall) ->
-        [
-          string_of_int k;
-          Fmt.str "%.2f" wall;
-          string_of_int (sum (fun s -> s.Des.Shard.windows) r);
-          string_of_int (sum (fun s -> s.Des.Shard.skipped_windows) r);
-          string_of_int (sum (fun s -> s.Des.Shard.remote_posts) r);
-          Fmt.str "%.3f" (max_stall r);
-        ])
-      runs
-  in
-  print_endline (Cluster.Report.table ~headers rows);
-  let reference =
-    match runs with
-    | (_, r, _) :: _ -> fig3_signature r
-    | [] -> assert false
-  in
-  List.iter
-    (fun (k, r, _) ->
-      if not (String.equal (fig3_signature r) reference) then
-        tripwire_fail ~smoke:"shard-smoke" ~tripwire:"fig3-determinism"
-          "fig3 result at shards=%d differs from shards=1" k;
-      if k > 1 then
-        Fmt.pr "determinism: shards=%d result byte-identical to shards=1@." k)
-    runs;
-  (match List.rev runs with
-  | (k, r, _) :: _ ->
-      bench_pr9_merge ~prefix:"fig3_shards_"
-        [
-          ("fig3_shards_k", float_of_int k);
-          ( "fig3_shards_windows",
-            float_of_int (sum (fun s -> s.Des.Shard.windows) r) );
-          ( "fig3_shards_skipped_windows",
-            float_of_int (sum (fun s -> s.Des.Shard.skipped_windows) r) );
-          ( "fig3_shards_remote_posts",
-            float_of_int (sum (fun s -> s.Des.Shard.remote_posts) r) );
-          ("fig3_shards_stall_s", max_stall r);
-        ];
-      Fmt.pr "wrote %s (fig3_shards_* fields, k=%d)@." bench_pr9 k
-  | [] -> ())
 
 (* --- bench history: the cross-PR perf trajectory ----------------------- *)
 
@@ -912,16 +623,7 @@ let run_history () =
         | None -> "-"
       in
       let headers =
-        [
-          "file";
-          "events/s";
-          "words/flow";
-          "windows";
-          "skipped";
-          "stall s";
-          "p95 us";
-          "converged ms";
-        ]
+        [ "file"; "events/s"; "words/flow"; "p95 us"; "converged ms" ]
       in
       let rows =
         (* files () is newest-first; the trajectory reads oldest-first. *)
@@ -934,9 +636,6 @@ let run_history () =
                 [ "flows_events_per_sec"; "after_events_per_sec" ]
                 (Fmt.str "%.0f");
               cell fields [ "flows_live_words_per_flow" ] (Fmt.str "%.1f");
-              cell fields [ "flows_windows" ] (Fmt.str "%.0f");
-              cell fields [ "flows_skipped_windows" ] (Fmt.str "%.0f");
-              cell fields [ "flows_barrier_stall_s" ] (Fmt.str "%.3f");
               cell fields [ "soak_p95_us" ] (Fmt.str "%.1f");
               cell fields [ "law_baseline_converged_ms" ] (Fmt.str "%.0f");
             ])
@@ -1085,7 +784,6 @@ let targets =
     ("micro", fun ~jobs:_ ~check:_ () -> run_micro ());
     ("e2e", fun ~jobs:_ ~check () -> run_e2e ~check ());
     ("frontier", fun ~jobs ~check () -> run_frontier ~jobs ~check ());
-    ("fig3-shards", fun ~jobs ~check:_ () -> run_fig3_shards ~jobs ());
     ("history", fun ~jobs:_ ~check:_ () -> run_history ());
   ]
 (* [flows] is dispatched separately: it is the only target taking -n. *)
@@ -1138,10 +836,6 @@ let () =
   let soak_minutes, args =
     extract_int_opt ~flag:"--minutes" ~default:0 ~min:0 args
   in
-  (* --shards N: engine shards for the [flows] target; 0 = one per core. *)
-  let flows_shards, args =
-    extract_int_opt ~flag:"--shards" ~default:1 ~min:0 args
-  in
   match args with
   | [] | [ "all" ] -> run_all ~full ~jobs ()
   | names ->
@@ -1153,7 +847,7 @@ let () =
               else f ~jobs ~check ()
           | None ->
               if name = "flows" then
-                run_flows ~n:flows_n ~shards:flows_shards ~check ()
+                run_flows ~n:flows_n ~check ()
               else if name = "soak" then
                 run_soak ~minutes:soak_minutes ~check ()
               else begin

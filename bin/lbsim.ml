@@ -25,6 +25,19 @@ let sec =
   in
   Arg.conv (parse, fun ppf t -> Fmt.pf ppf "%g" (Des.Time.to_float_s t))
 
+(* Integers with a lower bound, so out-of-range counts are usage errors
+   rather than exceptions from deep inside a run. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | Some _ | None -> Error (`Msg (Fmt.str "expected an integer >= %d" lo))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let pos_int = int_at_least 1
+let nonneg_int = int_at_least 0
+
 let policy =
   let parse s =
     match Inband.Policy.of_string s with
@@ -111,7 +124,7 @@ let metrics_interval_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int 1
+    & opt nonneg_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Run the independent simulations of the experiment on $(docv) \
@@ -159,7 +172,7 @@ let fig2_cmd =
 
 let fig3_cmd =
   let run duration inject_at inject_ms policies servers connections alpha law
-      remap seed shards csv metrics_csv metrics_interval jobs =
+      remap seed csv metrics_csv metrics_interval jobs =
     let scenario =
       {
         Cluster.Scenario.default_config with
@@ -168,7 +181,6 @@ let fig3_cmd =
         memtier =
           { Workload.Memtier.default_config with Workload.Memtier.connections };
         seed;
-        shards;
       }
     in
     let result =
@@ -205,29 +217,21 @@ let fig3_cmd =
       & info [ "policies" ] ~doc:"Comma-separated policies to compare.")
   in
   let servers =
-    Arg.(value & opt int 2 & info [ "servers" ] ~doc:"Number of memcached servers.")
+    Arg.(value & opt pos_int 2 & info [ "servers" ] ~doc:"Number of memcached servers.")
   in
   let connections =
-    Arg.(value & opt int 4 & info [ "connections" ] ~doc:"Client connections.")
+    Arg.(value & opt pos_int 4 & info [ "connections" ] ~doc:"Client connections.")
   in
   let alpha =
     Arg.(value & opt float 0.10 & info [ "alpha" ] ~doc:"Controller shift fraction.")
   in
   let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Engine shards per simulation (results are invariant in \
-             this; tables are byte-identical at any value).")
-  in
   Cmd.v
     (Cmd.info "fig3"
        ~doc:"Tail latency under a server delay injection (Fig 3).")
     Term.(
       const run $ duration $ inject_at $ inject_ms $ policies $ servers
-      $ connections $ alpha $ law_arg $ remap_arg $ seed $ shards $ csv_arg
+      $ connections $ alpha $ law_arg $ remap_arg $ seed $ csv_arg
       $ metrics_csv_arg $ metrics_interval_arg $ jobs_arg)
 
 (* --- sweeps ------------------------------------------------------------ *)
@@ -365,7 +369,7 @@ let herd_cmd =
   let lbs =
     Arg.(
       value
-      & opt (list int) [ 1; 2; 4 ]
+      & opt (list pos_int) [ 1; 2; 4 ]
       & info [ "lbs" ] ~docv:"N,..." ~doc:"Fleet sizes to sweep.")
   in
   let duration =
@@ -542,13 +546,13 @@ let run_cmd =
              p2c). The feedback controller — and $(b,--law) — only \
              runs under latency-aware.")
   in
-  let servers = Arg.(value & opt int 2 & info [ "servers" ] ~doc:"Servers.") in
+  let servers = Arg.(value & opt pos_int 2 & info [ "servers" ] ~doc:"Servers.") in
   let clients = Arg.(value & opt int 1 & info [ "clients" ] ~doc:"Client hosts.") in
   let connections =
-    Arg.(value & opt int 4 & info [ "connections" ] ~doc:"Connections per client.")
+    Arg.(value & opt pos_int 4 & info [ "connections" ] ~doc:"Connections per client.")
   in
   let pipeline =
-    Arg.(value & opt int 2 & info [ "pipeline" ] ~doc:"Pipelined requests per connection.")
+    Arg.(value & opt pos_int 2 & info [ "pipeline" ] ~doc:"Pipelined requests per connection.")
   in
   let get_ratio =
     Arg.(value & opt float 0.5 & info [ "get-ratio" ] ~doc:"Fraction of GETs.")
@@ -603,20 +607,18 @@ let run_cmd =
 (* --- churn: multi-fault timeline with per-fault latencies --------------- *)
 
 let churn_cmd =
-  let run duration seed shards remap faults assert_recovery csv metrics_csv =
+  let run duration seed remap faults assert_recovery csv metrics_csv =
     let timeline =
       match load_faults faults with
       | Some timeline -> timeline
       | None -> Cluster.Churn.default_timeline
     in
-    let scenario =
-      { Cluster.Churn.default_scenario with Cluster.Scenario.seed; shards }
-    in
+    let base = Cluster.Churn.default_scenario in
     let scenario =
       {
-        scenario with
-        Cluster.Scenario.lb =
-          { scenario.Cluster.Scenario.lb with Inband.Config.remap };
+        base with
+        Cluster.Scenario.seed;
+        lb = { base.Cluster.Scenario.lb with Inband.Config.remap };
       }
     in
     let result = Cluster.Churn.run ~scenario ~duration ~timeline () in
@@ -643,14 +645,6 @@ let churn_cmd =
       & info [ "duration" ] ~doc:"Run length, seconds.")
   in
   let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Engine shards (results are invariant in this; tables are \
-             byte-identical at any value).")
-  in
   let assert_recovery =
     Arg.(
       value & flag
@@ -665,7 +659,7 @@ let churn_cmd =
          "Replay a multi-fault timeline against the latency-aware LB and \
           report per-fault detection/recovery latency.")
     Term.(
-      const run $ duration $ seed $ shards $ remap_arg $ faults_arg
+      const run $ duration $ seed $ remap_arg $ faults_arg
       $ assert_recovery $ csv_arg $ metrics_csv_arg)
 
 (* --- soak: long-horizon churn + adversarial clients -------------------- *)
@@ -800,29 +794,15 @@ let soak_cmd =
           multi-LB fleet instead.")
     Term.(const run $ minutes $ warmup $ windows $ seed $ check $ lbs $ coord)
 
-(* --- flows: sharded flow-scale churn ---------------------------------- *)
+(* --- flows: flow-scale churn ------------------------------------------ *)
 
 let flows_cmd =
-  let run n shards seed csv =
-    let shards =
-      if shards > 0 then shards
-      else Stdlib.min Cluster.Sharded.clients (Domain.recommended_domain_count ())
-    in
-    let r = Cluster.Sharded.flows ~shards ~seed ~n () in
-    let s = r.Cluster.Sharded.stats in
-    Fmt.pr "flows: n=%d shards=%d events=%d responses=%d active_peak=%d@." r.n
-      r.shards r.events r.responses r.active_peak;
-    Fmt.pr
-      "  wall=%.2fs  aggregate=%.0f events/s  words/flow=%.1f  \
-       full_major=%.2fs@."
+  let run n seed csv =
+    let r = Cluster.Sharded.flows ~seed ~n () in
+    Fmt.pr "flows: n=%d events=%d responses=%d active_peak=%d@." r.n r.events
+      r.responses r.active_peak;
+    Fmt.pr "  wall=%.2fs  %.0f events/s  words/flow=%.1f  full_major=%.2fs@."
       r.wall_s r.events_per_sec r.words_per_flow r.full_major_s;
-    if r.shards > 1 then begin
-      let max_stall =
-        Array.fold_left Stdlib.max 0.0 s.Des.Shard.stall_seconds
-      in
-      Fmt.pr "  windows=%d  cross-shard posts=%d  max barrier stall=%.3fs@."
-        s.Des.Shard.windows s.Des.Shard.remote_posts max_stall
-    end;
     match csv with
     | None -> ()
     | Some path ->
@@ -832,21 +812,12 @@ let flows_cmd =
   in
   let n =
     Arg.(
-      value & opt int 65_536
+      value & opt pos_int 65_536
       & info [ "n" ] ~docv:"N" ~doc:"Concurrent flows to run to completion.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:
-            "Engine shards (domains). 0 means one per available core. \
-             The per-client CSV summary is byte-identical for any \
-             value.")
   in
   let seed =
     Arg.(
-      value & opt int 0
+      value & opt nonneg_int 0
       & info [ "seed" ]
           ~doc:
             "Deterministically perturb the flow-to-client map and flow \
@@ -856,9 +827,9 @@ let flows_cmd =
     (Cmd.info "flows"
        ~doc:
          "Run the flow-scale churn workload (N concurrent flows, FIN + \
-          reincarnation churn, idle-expiry drain) on K parallel engine \
-          shards synchronized in lookahead-bounded windows.")
-    Term.(const run $ n $ shards $ seed $ csv_arg)
+          reincarnation churn, idle-expiry drain) and print a per-client \
+          CSV summary.")
+    Term.(const run $ n $ seed $ csv_arg)
 
 (* --- estimate: run the estimators over a packet-timestamp trace ------- *)
 

@@ -123,7 +123,6 @@ let run ?(scenario = default_scenario) ?(duration = Des.Time.sec 14)
     | Some v -> int_of_float v
     | None -> 0
   in
-  Scenario.shutdown s;
   {
     duration;
     timeline;

@@ -15,7 +15,6 @@ type run_result = {
   victim_share_before : float;
   victim_share_after : float;
   metrics : Telemetry.Snapshot.row list;
-  shard_stats : Des.Shard.stats;
 }
 
 type result = {
@@ -54,8 +53,7 @@ let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
            ]));
   (* An out-of-cadence snapshot at injection time captures the exact
      per-server flow assignment, splitting the victim's share into
-     before/after; a final one closes the run. (Every shard snaps at the
-     same instants, so the merged row stream is K-agnostic.) *)
+     before/after; a final one closes the run. *)
   Scenario.schedule_snap s ~at:inject_at;
   Scenario.run s ~until:duration;
   Scenario.snap_all s;
@@ -127,7 +125,7 @@ let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
   in
   let flows_end =
     Array.init n (fun i ->
-        match Scenario.metric_value s ~index:i "lb.flows_to" with
+        match Scenario.metric_sum s ~index:i "lb.flows_to" with
         | Some v -> int_of_float v
         | None -> 0)
   in
@@ -142,8 +140,6 @@ let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
     | Some v -> int_of_float v
     | None -> 0
   in
-  let shard_stats = Scenario.shard_stats s in
-  Scenario.shutdown s;
   {
     policy;
     series;
@@ -159,7 +155,6 @@ let run_one ~scenario ~policy ~duration ~inject_at ~inject_delay
     victim_share_before = share flows_before;
     victim_share_after = share flows_delta;
     metrics;
-    shard_stats;
   }
 
 (* The default profile adds one stabiliser over the paper's always-act

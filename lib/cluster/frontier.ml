@@ -175,26 +175,22 @@ let run_one ~scenario ~duration ~fault_at ~fault_dur ~slack ~sustain
     | Some v -> int_of_float v
     | None -> 0
   in
-  let cell =
-    {
-      remap;
-      intensity;
-      slow_factor;
-      checked = Oracle.checked oracle;
-      violations = Oracle.violation_count oracle;
-      violation_rate = Oracle.violation_rate oracle;
-      in_fault = attribution.Oracle.in_fault;
-      remapped = Inband.Balancer.remapped_flows balancer;
-      actions;
-      responses;
-      pre_p95_us;
-      post_p95_us;
-      post_p99_us;
-      recovery_ms;
-    }
-  in
-  Scenario.shutdown s;
-  cell
+  {
+    remap;
+    intensity;
+    slow_factor;
+    checked = Oracle.checked oracle;
+    violations = Oracle.violation_count oracle;
+    violation_rate = Oracle.violation_rate oracle;
+    in_fault = attribution.Oracle.in_fault;
+    remapped = Inband.Balancer.remapped_flows balancer;
+    actions;
+    responses;
+    pre_p95_us;
+    post_p95_us;
+    post_p99_us;
+    recovery_ms;
+  }
 
 let run ?(scenario = default_scenario) ?(duration = Des.Time.sec 10)
     ?(fault_at = Des.Time.sec 2) ?(fault_dur = Des.Time.sec 4)

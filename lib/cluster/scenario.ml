@@ -21,7 +21,6 @@ type config = {
   latency_bucket : Des.Time.t;
   metrics_interval : Des.Time.t;
   seed : int;
-  shards : int;
 }
 
 let default_config =
@@ -48,23 +47,21 @@ let default_config =
     latency_bucket = Des.Time.ms 500;
     metrics_interval = Des.Time.ms 500;
     seed = 0xfeed;
-    shards = 1;
   }
 
 type t = {
-  runtime : Des.Shard.t;
-  engines : Des.Engine.t array;
-  fabrics : Netsim.Fabric.t array;
+  engine : Des.Engine.t;
+  fabric : Netsim.Fabric.t;
   balancer : Inband.Balancer.t;
   servers : Memcache.Server.t array;
   clients : Workload.Memtier.t array;
-  logs : Workload.Latency_log.t option array;  (* indexed by shard *)
+  log : Workload.Latency_log.t;
   vip : Netsim.Addr.t;
   config : config;
   client_lb_links : Netsim.Link.t array;
   lb_server_links : Netsim.Link.t array;
-  registries : Telemetry.Registry.t array;
-  snapshotters : Telemetry.Snapshot.t array;
+  telemetry : Telemetry.Registry.t;
+  snapshots : Telemetry.Snapshot.t;
 }
 
 (* IP plan: VIP = 1, servers = 10, 11, …; clients = 100, 101, … *)
@@ -72,62 +69,25 @@ let vip_ip = 1
 let server_ip i = 10 + i
 let client_ip j = 100 + j
 
-(* Placement (DESIGN.md §15): the balancer, servers, fault injector and
-   controller share shard 0 — every control-plane mutation stays on one
-   domain — while clients spread round-robin over shards 1..K-1. The
-   shard cut therefore runs through the client→LB request legs and the
-   server→client DSR return legs; LB→server links are always local. At
-   K=1 everything degenerates to the historical single-engine build. *)
-let shard_of_client config j =
-  if config.shards = 1 then 0 else 1 + (j mod (config.shards - 1))
-
 let build config =
-  if config.shards < 1 then invalid_arg "Scenario.build: shards must be >= 1";
-  let shards = config.shards in
-  (* The lookahead bound is derived from the cross-shard link set while
-     wiring, below; create with a placeholder and tighten before [run]. *)
-  let runtime = Des.Shard.create ~shards ~lookahead:(Des.Time.ms 1) () in
-  let engines = Array.init shards (Des.Shard.engine runtime) in
-  let engine = engines.(0) in
-  let fabrics = Array.map Netsim.Fabric.create engines in
-  let fabric = fabrics.(0) in
-  (* Tagged cross-shard delivery: a packet rides the flat inbox as
-     (tag = destination ip, payload = packet) — no closure per post. *)
-  Array.iteri
-    (fun k fab ->
-      Des.Shard.set_sink runtime ~dst:k (fun ip payload ->
-          Netsim.Fabric.deliver fab ~ip (Obj.obj payload : Netsim.Packet.t)))
-    fabrics;
+  let engine = Des.Engine.create () in
+  let fabric = Netsim.Fabric.create engine in
   let root_rng = Des.Rng.create ~seed:config.seed in
   let vip = Netsim.Addr.v vip_ip 11211 in
   let server_ips = Array.init config.n_servers server_ip in
-  (* One registry per shard: a component registers its metrics with its
-     owning shard's registry, and that shard's snapshotter samples them
-     from its own domain, so polling never crosses a domain boundary.
-     At K=1 this is the historical single cluster-wide registry. *)
-  let registries = Array.init shards (fun _ -> Telemetry.Registry.create ()) in
-  let telemetry = registries.(0) in
-  (* GC counters are process-wide; registering them once keeps merged
-     reads single-sourced. *)
+  let telemetry = Telemetry.Registry.create () in
   Telemetry.Registry.install_gc_metrics telemetry;
   (* Engine health gauges: a stuck-timer leak grows the pending count
      without bound; the wheel gauges catch cascade pathologies. Every
      scenario consumer (soak monitor, --metrics-csv) watches the engine
      through these. *)
-  Array.iteri
-    (fun k reg ->
-      let engine_gauge name f =
-        Telemetry.Registry.gauge_fn reg name (fun () ->
-            float_of_int (f engines.(k)))
-      in
-      engine_gauge "des.pending" Des.Engine.pending;
-      engine_gauge "des.queue_length" Des.Engine.queue_length;
-      engine_gauge "des.wheel_size" Des.Engine.wheel_size)
-    registries;
-  (* Barrier-level health (windows, skipped windows, stall, inbox
-     high-water) only exists under real sharding; K=1 keeps the
-     historical metric set. *)
-  if shards > 1 then Sharded.install_metrics runtime telemetry;
+  let engine_gauge name f =
+    Telemetry.Registry.gauge_fn telemetry name (fun () ->
+        float_of_int (f engine))
+  in
+  engine_gauge "des.pending" Des.Engine.pending;
+  engine_gauge "des.queue_length" Des.Engine.queue_length;
+  engine_gauge "des.wheel_size" Des.Engine.wheel_size;
   (* The balancer registers the VIP host, so build it first. *)
   let balancer =
     Inband.Balancer.create fabric ~vip ~server_ips ~policy:config.policy
@@ -137,35 +97,18 @@ let build config =
   in
   (* Forward-path links carry an rng so the fault layer can turn on
      loss bursts; each gets its own label-split stream, so unused rngs
-     don't perturb any other stream. A link lives on its *source* host's
-     shard: transit timers run on the sending engine, and a remote
-     receiving end hands the packet across the shard boundary. *)
-  let plain_link ?metric ?index ?rng ~shard:k delay =
-    Netsim.Link.create engines.(k) ~delay ~rate_bps:config.link_rate_bps
-      ?telemetry:(if metric = None then None else Some registries.(k))
+     don't perturb any other stream. *)
+  let plain_link ?metric ?index ?rng delay =
+    Netsim.Link.create engine ~delay ~rate_bps:config.link_rate_bps
+      ?telemetry:(if metric = None then None else Some telemetry)
       ?metric ?index ?rng ()
   in
-  let return_link ~shard:k delay ~rng =
+  let return_link delay ~rng =
     match config.return_jitter with
-    | None -> plain_link ~shard:k delay
+    | None -> plain_link delay
     | Some jitter ->
-        Netsim.Link.create engines.(k) ~delay ~rate_bps:config.link_rate_bps
+        Netsim.Link.create engine ~delay ~rate_bps:config.link_rate_bps
           ~jitter ~rng ()
-  in
-  (* The lookahead is the minimum base propagation delay over the cut
-     (cross-shard) links — jitter and injected faults only ever add
-     delay, so the base is a sound lower bound on any crossing. *)
-  let min_cut = ref max_int in
-  let wire fab ~src_shard ~dst_shard ~src ~dst ~delay link =
-    if src_shard = dst_shard then Netsim.Fabric.add_link fab ~src ~dst link
-    else begin
-      min_cut := Stdlib.min !min_cut delay;
-      Netsim.Fabric.add_remote_link fab ~src ~dst
-        ~remote:(fun ~at pkt ->
-          Des.Shard.post_remote_tagged runtime ~src:src_shard ~dst:dst_shard
-            ~at ~tag:dst (Obj.repr pkt))
-        link
-    end
   in
   (* Servers: endpoint at its own IP, listening on the VIP (DSR). *)
   let servers =
@@ -203,29 +146,12 @@ let build config =
         ~key_of:(Workload.Keyspace.key_of keyspace_names)
         ~value_size:config.preload_value_size)
     servers;
-  (* Clients and the latency logs: one log per client-hosting shard,
-     registered with that shard's registry, so recording a latency stays
-     a shard-local write. Readers merge (see [series]/[histogram]). *)
-  let hosts_clients k =
-    if shards = 1 then k = 0
-    else
-      let rec probe j =
-        j < config.n_clients
-        && (shard_of_client config j = k || probe (j + 1))
-      in
-      probe 0
-  in
-  let logs =
-    Array.init shards (fun k ->
-        if hosts_clients k then
-          Some
-            (Workload.Latency_log.create engines.(k)
-               ~bucket:config.latency_bucket ~telemetry:registries.(k) ())
-        else None)
+  let log =
+    Workload.Latency_log.create engine ~bucket:config.latency_bucket
+      ~telemetry ()
   in
   let clients =
     Array.init config.n_clients (fun j ->
-        let k = shard_of_client config j in
         let rng = Des.Rng.split root_rng ~label:(Fmt.str "client-%d" j) in
         let keyspace =
           Workload.Keyspace.create ~count:config.key_count
@@ -238,10 +164,8 @@ let build config =
           | Some c -> c
           | None -> config.memtier
         in
-        Workload.Memtier.create fabrics.(k) ~host_ip:(client_ip j) ~vip
-          ~keyspace
-          ~log:(Option.get logs.(k))
-          ~config:mconfig ~telemetry:registries.(k) ~index:j ~rng ())
+        Workload.Memtier.create fabric ~host_ip:(client_ip j) ~vip ~keyspace
+          ~log ~config:mconfig ~telemetry ~index:j ~rng ())
   in
   (* Links. Request path: client→VIP, VIP→server. Return path (DSR):
      server→client directly. *)
@@ -252,20 +176,18 @@ let build config =
   in
   let client_lb_links =
     Array.init config.n_clients (fun j ->
-        let k = shard_of_client config j in
         let link =
-          plain_link ~shard:k ~metric:"link.client_lb" ~index:j
+          plain_link ~metric:"link.client_lb" ~index:j
             ~rng:(Des.Rng.split root_rng ~label:(Fmt.str "link-c%d" j))
             (client_delay j)
         in
-        wire fabrics.(k) ~src_shard:k ~dst_shard:0 ~src:(client_ip j)
-          ~dst:vip_ip ~delay:(client_delay j) link;
+        Netsim.Fabric.add_link fabric ~src:(client_ip j) ~dst:vip_ip link;
         link)
   in
   let lb_server_links =
     Array.init config.n_servers (fun i ->
         let link =
-          plain_link ~shard:0 ~metric:"link.lb_server" ~index:i
+          plain_link ~metric:"link.lb_server" ~index:i
             ~rng:(Des.Rng.split root_rng ~label:(Fmt.str "link-s%d" i))
             config.lb_server_delay
         in
@@ -280,138 +202,57 @@ let build config =
       (* A far client is far in both directions. *)
       let extra = client_delay j - config.client_lb_delay in
       let delay = config.server_client_delay + extra in
-      wire fabric ~src_shard:0 ~dst_shard:(shard_of_client config j)
-        ~src:(server_ip i) ~dst:(client_ip j) ~delay
-        (return_link ~shard:0 delay ~rng)
+      Netsim.Fabric.add_link fabric ~src:(server_ip i) ~dst:(client_ip j)
+        (return_link delay ~rng)
     done
   done;
-  if shards > 1 && !min_cut < max_int then begin
-    if !min_cut <= 0 then
-      invalid_arg
-        "Scenario.build: cross-shard link with non-positive base delay";
-    Des.Shard.set_lookahead runtime !min_cut
-  end;
-  let snapshotters =
-    Array.init shards (fun k ->
-        Telemetry.Snapshot.start engines.(k) registries.(k)
-          ~interval:config.metrics_interval)
+  let snapshots =
+    Telemetry.Snapshot.start engine telemetry ~interval:config.metrics_interval
   in
   {
-    runtime;
-    engines;
-    fabrics;
+    engine;
+    fabric;
     balancer;
     servers;
     clients;
-    logs;
+    log;
     vip;
     config;
     client_lb_links;
     lb_server_links;
-    registries;
-    snapshotters;
+    telemetry;
+    snapshots;
   }
 
-let engine t = t.engines.(0)
-let fabric t = t.fabrics.(0)
+let engine t = t.engine
+let fabric t = t.fabric
 let balancer t = t.balancer
 let servers t = t.servers
 let clients t = t.clients
-
-let log t =
-  let rec find k =
-    if k >= Array.length t.logs then
-      invalid_arg "Scenario.log: no client-hosting shard"
-    else match t.logs.(k) with Some l -> l | None -> find (k + 1)
-  in
-  find 0
-
+let log t = t.log
 let vip t = t.vip
 let config t = t.config
 let lb_server_link t i = t.lb_server_links.(i)
 let client_lb_link t j = t.client_lb_links.(j)
-let telemetry t = t.registries.(0)
-let snapshots t = t.snapshotters.(0)
-let shards t = t.config.shards
-let shard_stats t = Des.Shard.stats t.runtime
-let shutdown t = Des.Shard.shutdown t.runtime
-
-(* --- Merged telemetry reads (shard-order deterministic) --------------- *)
-
-let metric_value t ?index name =
-  let rec scan k =
-    if k >= Array.length t.registries then None
-    else
-      match Telemetry.Registry.value t.registries.(k) ?index name with
-      | Some v -> Some v
-      | None -> scan (k + 1)
-  in
-  scan 0
-
-let metric_sum t ?index name =
-  Array.fold_left
-    (fun acc reg ->
-      match Telemetry.Registry.value reg ?index name with
-      | Some v -> Some (Option.value acc ~default:0.0 +. v)
-      | None -> acc)
-    None t.registries
-
-(* Single-registry hits are returned as-is (bit-identical to the K=1
-   read); only genuinely split series/histograms pay a merge. *)
-let series t ?index name =
-  let hits =
-    Array.to_list t.registries
-    |> List.filter_map (fun reg -> Telemetry.Registry.series reg ?index name)
-  in
-  match hits with
-  | [] -> None
-  | [ ts ] -> Some ts
-  | first :: _ ->
-      let merged =
-        Stats.Timeseries.create ~bucket:(Stats.Timeseries.bucket_width first)
-      in
-      List.iter (fun ts -> Stats.Timeseries.merge_into ~dst:merged ts) hits;
-      Some merged
+let telemetry t = t.telemetry
+let snapshots t = t.snapshots
+let shutdown (_ : t) = ()
+let metric_sum t ?index name = Telemetry.Registry.value t.telemetry ?index name
+let series t ?index name = Telemetry.Registry.series t.telemetry ?index name
 
 let histogram t ?index name =
-  let hits =
-    Array.to_list t.registries
-    |> List.filter_map (fun reg ->
-           Telemetry.Registry.find_histogram reg ?index name)
-  in
-  match hits with
-  | [] -> None
-  | [ h ] -> Some h
-  | hits ->
-      let merged = Stats.Histogram.create () in
-      List.iter (fun h -> Stats.Histogram.merge_into ~dst:merged h) hits;
-      Some merged
+  Telemetry.Registry.find_histogram t.telemetry ?index name
 
-let snap_all t = Array.iter Telemetry.Snapshot.snap t.snapshotters
-
-let snap_rows t =
-  if Array.length t.snapshotters = 1 then
-    Telemetry.Snapshot.rows t.snapshotters.(0)
-  else
-    Array.to_list t.snapshotters
-    |> List.concat_map Telemetry.Snapshot.rows
-    |> List.stable_sort (fun (a : Telemetry.Snapshot.row) b ->
-           Int.compare a.Telemetry.Snapshot.at b.Telemetry.Snapshot.at)
+let snap_all t = Telemetry.Snapshot.snap t.snapshots
+let snap_rows t = Telemetry.Snapshot.rows t.snapshots
 
 let schedule_snap t ~at =
-  Array.iteri
-    (fun k snaps ->
-      ignore
-        (Des.Engine.schedule t.engines.(k) ~at (fun () ->
-             Telemetry.Snapshot.snap snaps)))
-    t.snapshotters
+  ignore (Des.Engine.schedule t.engine ~at (fun () -> snap_all t))
 
 (* Wire an extra client host built after {!build} (e.g. a pathology
    client) into the DSR topology: host→VIP request link plus one
    server→host return link per server. The host must already be
-   registered on the fabric (creating its endpoint does that). Such
-   hosts always live on shard 0, next to the VIP and the servers, so
-   every leg is shard-local at any K. *)
+   registered on the fabric (creating its endpoint does that). *)
 let wire_client_host t ~host_ip =
   let link delay =
     Netsim.Link.create (engine t) ~delay ~rate_bps:t.config.link_rate_bps ()
@@ -431,18 +272,15 @@ let inject_server_delay t ~server ~at ~delay =
          Netsim.Link.set_extra_delay link delay))
 
 (* Timeline link names follow the topology: "lb->sN" is the LB→server
-   request link, "cN->lb" the client→LB one. Under sharding the
-   client→LB links belong to other shards' domains — the injector runs
-   on shard 0 and cannot mutate them, so they don't resolve. *)
+   request link, "cN->lb" the client→LB one. *)
 let resolve_link t name =
   let array_get a i = if i >= 0 && i < Array.length a then Some a.(i) else None in
   match Scanf.sscanf_opt name "lb->s%d%!" (fun i -> i) with
   | Some i -> array_get t.lb_server_links i
   | None -> begin
       match Scanf.sscanf_opt name "c%d->lb%!" (fun j -> j) with
-      | Some j when Array.length t.engines = 1 ->
-          array_get t.client_lb_links j
-      | Some _ | None -> None
+      | Some j -> array_get t.client_lb_links j
+      | None -> None
     end
 
 let fault_env t =
@@ -467,5 +305,5 @@ let attach_pcc t = Oracle.attach ~telemetry:(telemetry t) t.balancer
 
 let run t ~until =
   Array.iter Workload.Memtier.start t.clients;
-  Des.Shard.run t.runtime ~until;
+  Des.Engine.run t.engine ~until;
   Array.iter Workload.Memtier.stop t.clients

@@ -6,16 +6,9 @@
     links carry responses directly back. Exposes the LB→server links so
     experiments can inject the paper's 1 ms delay.
 
-    With [shards > 1] the cluster is partitioned across K engine shards
-    run by {!Des.Shard}: the balancer, servers, controller and fault
-    injector stay together on shard 0, clients spread round-robin over
-    shards 1..K-1, and the lookahead bound is derived from the cut link
-    set (client→LB and server→client legs). Simulation outcomes are
-    invariant in [shards] — figure tables are byte-identical at any K —
-    because cross-shard packet legs preserve exact arrival times
-    (DESIGN.md §14–15). Telemetry is per-shard; use the merged readers
-    ({!metric_value}, {!metric_sum}, {!series}, {!histogram},
-    {!snap_rows}) instead of poking a single registry. *)
+    The whole cluster runs on one {!Des.Engine} with one fabric, one
+    metric registry and one snapshotter. Independent scenarios run in
+    parallel through {!Parallel}, one engine per domain. *)
 
 type config = {
   n_servers : int;
@@ -56,120 +49,76 @@ type config = {
   metrics_interval : Des.Time.t;
       (** Telemetry snapshot period (default 500 ms). *)
   seed : int;
-  shards : int;
-      (** Engine shards (default 1, the historical single-engine run).
-          Results are invariant in this; only wall-clock and the
-          [shard.*] health metrics change. *)
 }
 
 val default_config : config
 (** Two servers (the paper's setup), one client host, static Maglev,
-    ~170 µs network RTT, ~50 µs service times, one shard. *)
+    ~170 µs network RTT, ~50 µs service times. *)
 
 type t
 
 val build : config -> t
-(** Construct the whole cluster, partitioned over [config.shards]
-    engines. Clients are not started yet.
-
-    @raise Invalid_argument if [shards < 1]. *)
+(** Construct the whole cluster. Clients are not started yet. *)
 
 val engine : t -> Des.Engine.t
-(** Shard 0's engine — the one owning the balancer, servers and fault
-    injector. Under sharding, schedule onto it only between runs. *)
-
 val fabric : t -> Netsim.Fabric.t
-(** Shard 0's fabric (VIP and server endpoints). *)
 
 val balancer : t -> Inband.Balancer.t
 val servers : t -> Memcache.Server.t array
 val clients : t -> Workload.Memtier.t array
 
 val log : t -> Workload.Latency_log.t
-(** The first client-hosting shard's latency log. At [shards = 1] this
-    is the single cluster-wide log; under sharding each client-hosting
-    shard has its own and cross-shard readers should prefer {!series} /
-    {!histogram}.
-
-    @raise Invalid_argument if no shard hosts a client. *)
+(** The cluster-wide client latency log. *)
 
 val vip : t -> Netsim.Addr.t
 val config : t -> config
 
-val shards : t -> int
-(** The shard count the cluster was built with. *)
-
-val shard_stats : t -> Des.Shard.stats
-(** Barrier-captured runner health: windows, skipped (adaptively
-    subsumed) windows, remote posts, inbox high-water, per-shard stalls.
-    Meaningful after {!run}; at [shards = 1] windows counts run phases. *)
-
 val shutdown : t -> unit
-(** Join the worker domain team ({!Des.Shard.shutdown}). Call when done
-    with a sharded scenario; no-op at [shards = 1]. No {!run} after. *)
+(** A no-op: a scenario holds nothing beyond the GC heap. *)
 
 val lb_server_link : t -> int -> Netsim.Link.t
 (** The LB→server link of one server (for delay injection). *)
 
 val client_lb_link : t -> int -> Netsim.Link.t
-(** The client→LB link of one client. Under sharding it is owned by the
-    client's shard — don't mutate it from shard 0. *)
+(** The client→LB link of one client. *)
 
 val telemetry : t -> Telemetry.Registry.t
-(** Shard 0's metric registry: the balancer ([lb.*], [ctl.*]), servers
-    ([server.*], indexed), the forward LB→server links
-    ([link.lb_server.*]) and, under sharding, the runner's [shard.*]
-    gauges. Client-side metrics ([client.*], [link.client_lb.*]) live in
-    the owning shard's registry — read them through {!metric_value},
-    {!metric_sum}, {!series} or {!histogram}. *)
+(** The cluster's metric registry: the balancer ([lb.*], [ctl.*]),
+    servers ([server.*], indexed), clients ([client.*]), links
+    ([link.lb_server.*], [link.client_lb.*]), the engine ([des.*]) and
+    the GC. *)
 
 val snapshots : t -> Telemetry.Snapshot.t
-(** Shard 0's periodic snapshotter (every shard runs one at the same
-    cadence on its own engine); started at build time. Prefer
-    {!snap_rows} / {!snap_all} / {!schedule_snap} for K-agnostic use. *)
+(** The periodic snapshotter of {!telemetry}; started at build time. *)
 
-val metric_value : t -> ?index:int -> string -> float option
-(** First shard's reading of a scalar metric, scanning registries in
-    shard order — for metrics registered on exactly one shard
-    (everything on shard 0; any client metric when one shard hosts all
-    clients). *)
+(** {2 Registry shorthands} *)
 
 val metric_sum : t -> ?index:int -> string -> float option
-(** Sum of a scalar metric over every registry that has it ([None] if
-    none do). Exact for integer counters; equals {!metric_value} when
-    the metric lives on one shard. *)
+(** {!Telemetry.Registry.value} on {!telemetry}; the name dates from
+    per-shard registries, whose readings it summed. *)
 
 val series : t -> ?index:int -> string -> Stats.Timeseries.t option
-(** Merged view of an attached time series (e.g.
-    ["client.latency.get"]). A single-shard hit is returned as-is —
-    bit-identical to the K=1 read; multiple hits are folded into a
-    fresh series with {!Stats.Timeseries.merge_into}. *)
+(** An attached time series (e.g. ["client.latency.get"]). *)
 
 val histogram : t -> ?index:int -> string -> Stats.Histogram.t option
-(** Merged view of a registered histogram (e.g.
-    ["client.latency_get_ns"]); single-shard hits returned as-is. *)
+(** A registered histogram (e.g. ["client.latency_get_ns"]). *)
 
 val snap_rows : t -> Telemetry.Snapshot.row list
-(** All shards' snapshot rows, stably sorted by snapshot time: rows of
-    any one metric keep their chronological order, and at [shards = 1]
-    the list is exactly the single snapshotter's. *)
+(** The snapshotter's rows, in snapshot order. *)
 
 val snap_all : t -> unit
-(** Take an immediate out-of-cadence snapshot on every shard (e.g. the
-    final sample after {!run} returns; the engines are parked, so the
-    reads are race-free). *)
+(** Take an immediate out-of-cadence snapshot (e.g. the final sample
+    after {!run} returns). *)
 
 val schedule_snap : t -> at:Des.Time.t -> unit
-(** Schedule an out-of-cadence snapshot at simulation time [at] on
-    every shard — each shard's snap runs on its own engine. *)
+(** Schedule an out-of-cadence snapshot at simulation time [at]. *)
 
 val wire_client_host : t -> host_ip:int -> unit
 (** Wire an extra client host (built after {!build}, e.g. a
     {!Workload.Pathology} client) into the DSR topology: a host→VIP
     request link and a server→host return link per server, all at the
-    default delays. The host must already be registered on shard 0's
-    fabric — create its TCP endpoint there first; such hosts always run
-    on shard 0, so this works at any [shards].
+    default delays. The host must already be registered on the fabric —
+    create its TCP endpoint there first.
 
     @raise Invalid_argument if the host is unregistered or links
     already exist. *)
@@ -183,20 +132,17 @@ val fault_env : t -> Faults.Injector.env
 (** The cluster's fault-target namespace: link ["lb->sN"] is the
     LB→server request link, ["cN->lb"] the client→LB one; servers and
     backends are indexed as built. The controller resolves only under
-    the latency-aware policy. Under sharding ["cN->lb"] does not
-    resolve: those links belong to other shards' domains and the
-    injector runs on shard 0. *)
+    the latency-aware policy. *)
 
 val install_faults : t -> Faults.Timeline.t -> Faults.Injector.t
 (** {!Faults.Injector.install} against {!fault_env}, publishing
-    [fault.*] metrics into shard 0's registry. Call before {!run}. *)
+    [fault.*] metrics into {!telemetry}. Call before {!run}. *)
 
 val attach_pcc : t -> Oracle.t
 (** Attach a per-connection-consistency {!Oracle} to the balancer
-    (publishing [pcc.*] gauges into shard 0's registry). Call before
+    (publishing [pcc.*] gauges into {!telemetry}). Call before
     {!run}; inspect after — the [--assert-pcc] scenario flag. *)
 
 val run : t -> until:Des.Time.t -> unit
-(** Start all clients, advance every shard to [until] (synchronized
-    windows under sharding, a plain engine run at [shards = 1]), then
-    stop clients. May be called repeatedly. *)
+(** Start all clients, run the engine to [until], then stop clients.
+    May be called repeatedly. *)

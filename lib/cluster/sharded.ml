@@ -1,34 +1,14 @@
-(* Sharded flow-scale churn workload (DESIGN.md §14).
+(* Flow-scale churn workload on one engine.
 
-   The single-engine `bench flows` scenario, partitioned across K
-   shards: client c lives on shard [c mod K], server s on [s mod K], and
-   every shard runs a full balancer replica behind its own copy of the
-   VIP. Replicas are configured identically — same server names, same
-   table size — so their Maglev tables are identical and any replica
-   routes a given flow key to the same server: sharding the *clients*
-   never changes a flow's backend. All links carry the same 5 µs
-   propagation delay, which is therefore the cross-shard lookahead.
-   Cross-shard hops (LB→server and server→client DSR legs whose
-   endpoints live on different shards) go through remote links that
-   preserve the exact arrival timestamp, so per-flow packet timing — and
-   everything derived from it: responses, FIN-driven reincarnation, idle
-   expiry — is invariant in K. The [csv] summary contains only such
-   K-invariant quantities; byte-equality of shards=1 vs shards=K output
-   is asserted by tests and the CI shard-smoke tripwire.
-
-   At K=1 the construction sequence below performs exactly the calls of
-   the historical single-engine bench (one balancer, same registration
-   and link order, same pacer schedule), so `--shards 1` behavior is
-   byte-identical to the pre-sharding engine.
-
-   The pacer is the one piece that cannot simply be replicated: the
-   original walks a global round-robin cursor, 64 sends per 1 µs tick.
-   Send j of the global schedule targets flow [j mod n] at tick
-   [j / 64], and the flow's per-incarnation counters are closed-form in
-   the round number r = j / n (k = r mod 8, generation = r / 8). Each
-   shard's pacer walks the same global send indices and emits only the
-   sends whose client it owns, at the identical simulation time — the
-   global send schedule is reproduced exactly, just demultiplexed. *)
+   64 client hosts and 8 servers behind one balancer, every link with a
+   5 µs propagation delay and no serialization. A pacer sends 64
+   packets per 1 µs tick, walking a global round-robin cursor over the
+   flows: send j targets flow [j mod n] at tick [j / 64], and the
+   flow's per-incarnation counters are closed-form in the round number
+   r = j / n (k = r mod 8, generation = r / 8). Servers reply straight
+   to the client (DSR). The [csv] summary is per-client sends and
+   responses plus the tracked-flow counts at the send horizon and after
+   the idle-expiry drain. *)
 
 let clients = 64
 let servers = 8
@@ -38,8 +18,7 @@ let batch = 64 (* sends per pacer tick *)
 
 type result = {
   n : int;
-  shards : int;
-  events : int; (* aggregate events fired across all shards *)
+  events : int;
   responses : int;
   active_peak : int;
   wall_s : float;
@@ -48,63 +27,20 @@ type result = {
   full_major_s : float;
   major_collections : int;
   major_words : float;
-  csv : string; (* K-invariant summary; byte-identical for any shards *)
-  drain_windows : int; (* windows spent in the idle-expiry drain phase *)
-  stats : Des.Shard.stats;
+  csv : string;
 }
 
-let install_metrics shard registry =
-  let k = Des.Shard.shards shard in
-  let stat f = f (Des.Shard.stats shard) in
-  for i = 0 to k - 1 do
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.pending" (fun () ->
-        float_of_int (stat (fun s -> s.Des.Shard.pending.(i))));
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.wheel_size" (fun () ->
-        float_of_int (stat (fun s -> s.Des.Shard.wheel_size.(i))));
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.queue_length"
-      (fun () ->
-        float_of_int (stat (fun s -> s.Des.Shard.queue_length.(i))));
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.events_fired"
-      (fun () ->
-        float_of_int (stat (fun s -> s.Des.Shard.events_fired.(i))));
-    Telemetry.Registry.gauge_fn registry ~index:i "shard.stall_s" (fun () ->
-        stat (fun s -> s.Des.Shard.stall_seconds.(i)))
-  done;
-  Telemetry.Registry.gauge_fn registry "shard.windows" (fun () ->
-      float_of_int (stat (fun s -> s.Des.Shard.windows)));
-  Telemetry.Registry.gauge_fn registry "shard.skipped_windows" (fun () ->
-      float_of_int (stat (fun s -> s.Des.Shard.skipped_windows)));
-  Telemetry.Registry.gauge_fn registry "shard.remote_posts" (fun () ->
-      float_of_int (stat (fun s -> s.Des.Shard.remote_posts)));
-  Telemetry.Registry.gauge_fn registry "shard.inbox_peak_bytes" (fun () ->
-      float_of_int (stat (fun s -> s.Des.Shard.inbox_peak_bytes)))
-
-(* One balancer replica + its shard's clients and servers, plus every
-   link whose *source* host lives on this shard (a link is owned by the
-   sending engine; its receiving end may be remote). *)
-let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ?telemetry ~n () =
-  if shards < 1 then invalid_arg "Sharded.flows: shards must be >= 1";
+let flows ?(seed = 0) ~n () =
   if n < 1 then invalid_arg "Sharded.flows: n must be >= 1";
   if seed < 0 then invalid_arg "Sharded.flows: seed must be >= 0";
   Gc.compact ();
   let base_live = (Gc.stat ()).Gc.live_words in
-  let lookahead = Des.Time.us 5 in
-  let shard = Des.Shard.create ~adaptive ~shards ~lookahead () in
+  let delay = Des.Time.us 5 in
+  let engine = Des.Engine.create () in
+  let fab = Netsim.Fabric.create engine in
   let vip = Netsim.Addr.v 1 80 in
   let server_ips = Array.init servers (fun i -> 10 + i) in
   let client_ips = Array.init clients (fun i -> 100 + i) in
-  let shard_of_client c = c mod shards in
-  let shard_of_server s = s mod shards in
-  let fabrics =
-    Array.init shards (fun k -> Netsim.Fabric.create (Des.Shard.engine shard k))
-  in
-  (* Tagged cross-shard delivery: the packet rides the flat inbox as
-     (tag = destination ip, payload = packet) — no closure per post. *)
-  Array.iteri
-    (fun k fab ->
-      Des.Shard.set_sink shard ~dst:k (fun ip payload ->
-          Netsim.Fabric.deliver fab ~ip (Obj.obj payload : Netsim.Packet.t)))
-    fabrics;
   let config =
     {
       Inband.Config.default with
@@ -112,21 +48,16 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ?telemetry ~n () =
       sweep_interval = Des.Time.ms 16;
     }
   in
-  let balancers =
-    Array.init shards (fun k ->
-        Inband.Balancer.create fabrics.(k) ~vip ~server_ips ~config ())
-  in
-  (* Per-client counters, written only by the owning shard's domain. *)
+  let balancer = Inband.Balancer.create fab ~vip ~server_ips ~config () in
   let responses = Array.make clients 0 in
   let sends_by_client = Array.make clients 0 in
   Array.iteri
     (fun c ip ->
-      Netsim.Fabric.register fabrics.(shard_of_client c) ~ip (fun _ ->
+      Netsim.Fabric.register fab ~ip (fun _ ->
           responses.(c) <- responses.(c) + 1))
     client_ips;
-  Array.iteri
-    (fun s ip ->
-      let fab = fabrics.(shard_of_server s) in
+  Array.iter
+    (fun ip ->
       Netsim.Fabric.register fab ~ip (fun pkt ->
           (* Respond to data; FINs are end-of-flow, nothing to say. *)
           if not pkt.Netsim.Packet.flags.Netsim.Packet.fin then
@@ -135,128 +66,74 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ?telemetry ~n () =
                  ~seq:pkt.Netsim.Packet.ack ~ack:pkt.Netsim.Packet.seq
                  ~flags:Netsim.Packet.flag_ack ~payload:"")))
     server_ips;
-  let link k = Netsim.Link.create (Des.Shard.engine shard k) ~delay:lookahead ~rate_bps:0 () in
-  (* A remote link's receiving end hands the packet to the owning
-     shard's engine at its arrival time; delivery re-enters the fabric
-     of the destination shard. *)
-  let wire fab ~src_shard ~dst_shard ~src ~dst =
-    if src_shard = dst_shard then
-      Netsim.Fabric.add_link fab ~src ~dst (link src_shard)
-    else
-      Netsim.Fabric.add_remote_link fab ~src ~dst
-        ~remote:(fun ~at pkt ->
-          Des.Shard.post_remote_tagged shard ~src:src_shard ~dst:dst_shard
-            ~at ~tag:dst (Obj.repr pkt))
-        (link src_shard)
+  let wire ~src ~dst =
+    Netsim.Fabric.add_link fab ~src ~dst
+      (Netsim.Link.create engine ~delay ~rate_bps:0 ())
   in
-  (* client→VIP: always shard-local (each shard fronts its clients with
-     its own replica). *)
-  Array.iteri
-    (fun c cip ->
-      let k = shard_of_client c in
-      Netsim.Fabric.add_link fabrics.(k) ~src:cip ~dst:vip.Netsim.Addr.ip
-        (link k))
-    client_ips;
-  (* VIP→server: every replica must reach every server (Maglev may pick
-     any backend for a local client's flow). server→client: DSR reply
-     legs, owned by the server's shard. *)
-  Array.iteri
-    (fun s sip ->
-      let ks = shard_of_server s in
-      for k = 0 to shards - 1 do
-        wire fabrics.(k) ~src_shard:k ~dst_shard:ks ~src:vip.Netsim.Addr.ip
-          ~dst:sip
-      done;
-      Array.iteri
-        (fun c cip ->
-          wire fabrics.(ks) ~src_shard:ks ~dst_shard:(shard_of_client c)
-            ~src:sip ~dst:cip)
-        client_ips)
+  Array.iter (fun cip -> wire ~src:cip ~dst:vip.Netsim.Addr.ip) client_ips;
+  Array.iter
+    (fun sip ->
+      wire ~src:vip.Netsim.Addr.ip ~dst:sip;
+      Array.iter (fun cip -> wire ~src:sip ~dst:cip) client_ips)
     server_ips;
-  (* Per-shard pacer: demultiplex the global send schedule (see header
-     comment). Flow i lives on client [(i + seed) land 63]; its source
-     port encodes the flow index and incarnation (offset by the seed, so
+  (* Flow i lives on client [(i + seed) land 63]; its source port
+     encodes the flow index and incarnation (offset by the seed, so
      distinct seeds route through distinct Maglev entries), making every
-     incarnation a fresh key. Both seed transforms happen before
-     sharding, so they perturb the simulation, not its K-invariance. *)
+     incarnation a fresh key. *)
   let stride = (n + clients - 1) / clients in
   let port_base = seed land 0xffff in
   let total_sends = rounds * n in
-  for k = 0 to shards - 1 do
-    let engine = Des.Shard.engine shard k in
-    let fab = fabrics.(k) in
-    let tick = ref 0 in
-    let rec pacer () =
-      let m = !tick in
-      incr tick;
-      let j_end = Stdlib.min ((m + 1) * batch) total_sends in
-      for j = m * batch to j_end - 1 do
-        let i = j mod n in
-        let c = (i + seed) land (clients - 1) in
-        if shard_of_client c = k then begin
-          let cip = client_ips.(c) in
-          let r = j / n in
-          let kth = r mod packets_per_incarnation in
-          let gen = r / packets_per_incarnation in
-          let port = port_base + (i lsr 6) + (gen * stride) in
-          let fin = kth = packets_per_incarnation - 1 in
-          Netsim.Fabric.send fab ~from:cip
-            (Netsim.Packet.make
-               ~src:(Netsim.Addr.v cip port)
-               ~dst:vip ~seq:kth ~ack:0
-               ~flags:
-                 (if fin then Netsim.Packet.flag_fin_ack
-                  else Netsim.Packet.flag_ack)
-               ~payload:"");
-          sends_by_client.(c) <- sends_by_client.(c) + 1
-        end
-      done;
-      if j_end < total_sends then
-        Des.Engine.post_after engine ~delay:(Des.Time.us 1) pacer
-    in
-    Des.Engine.post_after engine ~delay:(Des.Time.us 1) pacer
-  done;
-  (match telemetry with
-  | Some registry -> install_metrics shard registry
-  | None -> ());
+  let tick = ref 0 in
+  let rec pacer () =
+    let m = !tick in
+    incr tick;
+    let j_end = Stdlib.min ((m + 1) * batch) total_sends in
+    for j = m * batch to j_end - 1 do
+      let i = j mod n in
+      let c = (i + seed) land (clients - 1) in
+      let cip = client_ips.(c) in
+      let r = j / n in
+      let kth = r mod packets_per_incarnation in
+      let gen = r / packets_per_incarnation in
+      let port = port_base + (i lsr 6) + (gen * stride) in
+      let fin = kth = packets_per_incarnation - 1 in
+      Netsim.Fabric.send fab ~from:cip
+        (Netsim.Packet.make
+           ~src:(Netsim.Addr.v cip port)
+           ~dst:vip ~seq:kth ~ack:0
+           ~flags:
+             (if fin then Netsim.Packet.flag_fin_ack
+              else Netsim.Packet.flag_ack)
+           ~payload:"");
+      sends_by_client.(c) <- sends_by_client.(c) + 1
+    done;
+    if j_end < total_sends then
+      Des.Engine.post_after engine ~delay:(Des.Time.us 1) pacer
+  in
+  Des.Engine.post_after engine ~delay:(Des.Time.us 1) pacer;
   let gc0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   (* Phase 1: drive all sends plus in-flight drain, then measure live
-     memory at peak concurrency under a forced full major. All engines
-     sit at exactly [send_horizon] here, so cross-replica sums are
-     barrier-aligned snapshots. *)
+     memory at peak concurrency under a forced full major. *)
   let send_horizon =
     Des.Time.us ((total_sends / batch) + 2) + Des.Time.ms 1
   in
-  Des.Shard.run shard ~until:send_horizon;
-  let windows_at_horizon = (Des.Shard.stats shard).Des.Shard.windows in
-  let active_peak =
-    Array.fold_left
-      (fun acc b -> acc + Inband.Balancer.active_flows b)
-      0 balancers
-  in
+  Des.Engine.run engine ~until:send_horizon;
+  let active_peak = Inband.Balancer.active_flows balancer in
   let fm0 = Unix.gettimeofday () in
   Gc.full_major ();
   let full_major_s = Unix.gettimeofday () -. fm0 in
   let live_at_peak = (Gc.stat ()).Gc.live_words in
-  (* Phase 2: silence the traffic and let idle expiry reap the tables —
-     wheel-scheduled sweeps must walk every flow out, on every shard. *)
-  Des.Shard.run shard ~until:(send_horizon + Des.Time.ms 200);
+  (* Phase 2: silence the traffic and let idle expiry reap the table —
+     wheel-scheduled sweeps must walk every flow out. *)
+  Des.Engine.run engine ~until:(send_horizon + Des.Time.ms 200);
   let wall_s = Unix.gettimeofday () -. t0 -. full_major_s in
   let gc1 = Gc.quick_stat () in
-  let active_end =
-    Array.fold_left
-      (fun acc b -> acc + Inband.Balancer.active_flows b)
-      0 balancers
-  in
-  let stats = Des.Shard.stats shard in
-  Des.Shard.shutdown shard;
+  let active_end = Inband.Balancer.active_flows balancer in
   if active_end <> 0 then
     failwith
       (Fmt.str "Sharded.flows: %d flows survived idle expiry" active_end);
-  let events =
-    Array.fold_left ( + ) 0 stats.Des.Shard.events_fired
-  in
+  let events = Des.Engine.events_fired engine in
   let total_responses = Array.fold_left ( + ) 0 responses in
   let csv =
     let buf = Buffer.create 4096 in
@@ -274,7 +151,6 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ?telemetry ~n () =
   in
   {
     n;
-    shards;
     events;
     responses = total_responses;
     active_peak;
@@ -286,6 +162,4 @@ let flows ?(shards = 1) ?(seed = 0) ?(adaptive = true) ?telemetry ~n () =
     major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
     major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
     csv;
-    drain_windows = stats.Des.Shard.windows - windows_at_horizon;
-    stats;
   }

@@ -1,75 +1,39 @@
-(** Sharded single-scenario runs: the flow-scale churn workload
-    partitioned across K engine shards (one domain each), synchronized
-    in lookahead-bounded windows by {!Des.Shard}.
-
-    Clients and servers are distributed round-robin over the shards;
-    each shard runs a full balancer replica with an identical Maglev
-    table, so a flow's backend is independent of the partitioning, and
-    cross-shard packet legs preserve exact arrival times. Simulation
-    outcomes are therefore invariant in K: the [csv] summary is
-    byte-identical for any [shards] value (asserted by the determinism
-    tests and the CI shard-smoke job), and [shards = 1] reproduces the
-    historical single-engine bench exactly. DESIGN.md §14 has the
-    determinism argument. *)
+(** The flow-scale churn workload: [n] concurrent flows through one
+    balancer on one engine, with FIN + reincarnation churn and an
+    idle-expiry drain. (The name dates from when the workload could be
+    split across engines.) *)
 
 val clients : int
 (** Client hosts in the workload (64); flow i lives on client
-    [i land 63]. *)
+    [(i + seed) land 63]. *)
 
 val servers : int
-(** Backend servers (8), spread round-robin over the shards. *)
+(** Backend servers (8). *)
 
 val rounds : int
 (** Sends per flow over the whole run (12). *)
 
 type result = {
   n : int;
-  shards : int;
-  events : int;  (** events fired, summed over shards (NOT K-invariant:
-                     each shard runs its own pacer and sweep timers) *)
+  events : int;  (** events fired *)
   responses : int;
-  active_peak : int;  (** tracked flows at the send horizon, summed *)
-  wall_s : float;
-  events_per_sec : float;  (** aggregate: [events] / [wall_s] *)
+  active_peak : int;  (** tracked flows at the send horizon *)
+  wall_s : float;  (** sends and drain, without the forced full major *)
+  events_per_sec : float;  (** [events] / [wall_s] *)
   words_per_flow : float;
+      (** live words per flow at peak concurrency, under a full major *)
   full_major_s : float;
   major_collections : int;
   major_words : float;
-  csv : string;  (** K-invariant per-client summary (see above) *)
-  drain_windows : int;
-      (** synchronized windows spent in the idle-expiry drain phase —
-          the phase adaptive widening collapses (NOT K-invariant) *)
-  stats : Des.Shard.stats;
+  csv : string;  (** per-client sends and responses, plus flow counts *)
 }
 
-val flows :
-  ?shards:int ->
-  ?seed:int ->
-  ?adaptive:bool ->
-  ?telemetry:Telemetry.Registry.t ->
-  n:int ->
-  unit ->
-  result
-(** [flows ~shards ~n ()] runs [n] concurrent flows (12 sends each,
-    FIN + reincarnation every 8th packet) through [shards] balancer
-    replica shards to completion, including the idle-expiry drain.
-    Default [shards] is 1. [seed] (default 0, the historical workload)
+val flows : ?seed:int -> n:int -> unit -> result
+(** [flows ~n ()] runs [n] concurrent flows (12 sends each, FIN +
+    reincarnation every 8th packet) to completion, including the
+    idle-expiry drain. [seed] (default 0, the historical workload)
     deterministically perturbs the flow→client assignment and the flow
-    port space — a different simulation whose results are still
-    invariant in [shards]. [adaptive] (default [true]) selects
-    event-horizon window widening; the [csv] is byte-identical either
-    way, only window counts and wall time differ. When [telemetry] is
-    given, per-shard engine health gauges are installed into it via
-    {!install_metrics}.
+    port space.
 
-    @raise Invalid_argument if [shards < 1], [n < 1] or [seed < 0].
+    @raise Invalid_argument if [n < 1] or [seed < 0].
     @raise Failure if any flow survives the idle-expiry drain. *)
-
-val install_metrics : Des.Shard.t -> Telemetry.Registry.t -> unit
-(** Register per-shard DES health gauges — [shard.pending],
-    [shard.wheel_size], [shard.queue_length], [shard.events_fired],
-    [shard.stall_s] (indexed by shard) plus [shard.windows],
-    [shard.skipped_windows], [shard.remote_posts] and
-    [shard.inbox_peak_bytes] — all reading the barrier-captured snapshot
-    in {!Des.Shard.stats}, so polling them never races a running
-    window. *)

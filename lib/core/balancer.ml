@@ -15,8 +15,7 @@
 
 (* Slot lanes are Bigarrays for the same reason the ensemble slab is:
    the per-flow integers live off the OCaml heap, invisible to the GC,
-   so a sharded run's per-shard balancers add no cross-domain marking
-   work however many flows they hold. *)
+   so a balancer adds no marking work however many flows it holds. *)
 type lane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let lane_make n : lane =

@@ -9,9 +9,7 @@
 
    The lanes are Bigarrays, not OCaml arrays: their payload lives in
    malloc'd memory outside the OCaml heap, so a million-flow slab adds
-   nothing to the GC's marking or compaction work, and a slab can be
-   read from any domain of a sharded run without creating cross-domain
-   major-heap traffic (shards own disjoint slots; see Des.Shard). The
+   nothing to the GC's marking or compaction work. The
    FIXEDTIMEOUT update (Algorithm 1) is inlined on the slab lanes;
    {!Fixed_timeout} remains the standalone single-instance module. *)
 

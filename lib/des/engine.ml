@@ -38,12 +38,6 @@ type event = {
   mutable cancelled : bool;
   pooled : bool;
   mutable run : unit -> unit;
-  (* Closure-free payload for cross-shard deliveries: [tag >= 0] means
-     fire dispatches to the engine's [tagged_sink] with (tag, arg)
-     instead of [run] — the shard barrier posts drained inbox entries
-     this way without building a closure per entry. [-1] = plain. *)
-  mutable tag : int;
-  mutable arg : Obj.t;
   owner : t; (* for exact tombstone accounting in [cancel] *)
   (* Intrusive wheel links; [wslot] >= 0 iff currently parked. *)
   mutable wnext : event;
@@ -63,16 +57,11 @@ and t = {
   nil : event; (* wheel list terminator, never queued *)
   mutable wheel : event Wheel.t option; (* Some after [create] *)
   mutable emit : event -> unit; (* preallocated wheel->heap push *)
-  mutable tagged_sink : int -> Obj.t -> unit; (* shared tagged handler *)
 }
 
 type handle = event
 
 let nop () = ()
-let null_arg = Obj.repr 0
-
-let no_sink (_ : int) (_ : Obj.t) =
-  failwith "Engine: tagged event fired with no sink installed"
 
 let wheel_ops =
   {
@@ -150,8 +139,6 @@ let create () =
       cancelled = false;
       pooled = false;
       run = nop;
-      tag = -1;
-      arg = null_arg;
       owner = t;
       wnext = nil;
       wprev = nil;
@@ -170,7 +157,6 @@ let create () =
       nil;
       wheel = None;
       emit = ignore;
-      tagged_sink = no_sink;
     }
   in
   t.wheel <- Some (Wheel.create ~ops:wheel_ops ~nil ());
@@ -218,8 +204,7 @@ let schedule t ~at f =
   let nil = t.nil in
   let ev =
     { time = at; seq = t.next_seq; cancelled = false; pooled = false;
-      run = f; tag = -1; arg = null_arg; owner = t; wnext = nil;
-      wprev = nil; wslot = -1 }
+      run = f; owner = t; wnext = nil; wprev = nil; wslot = -1 }
   in
   t.next_seq <- t.next_seq + 1;
   if not (Wheel.offer (wheel_of t) ev) then push t ev;
@@ -242,8 +227,7 @@ let post t ~at f =
     | [] ->
         let nil = t.nil in
         { time = at; seq = t.next_seq; cancelled = false; pooled = true;
-          run = f; tag = -1; arg = null_arg; owner = t; wnext = nil;
-          wprev = nil; wslot = -1 }
+          run = f; owner = t; wnext = nil; wprev = nil; wslot = -1 }
   in
   t.next_seq <- t.next_seq + 1;
   push t ev
@@ -251,32 +235,6 @@ let post t ~at f =
 let post_after t ~delay f =
   if delay < 0 then invalid_arg "Engine.post_after: negative delay";
   post t ~at:(t.now + delay) f
-
-let set_tagged_sink t f = t.tagged_sink <- f
-
-(* Fire-and-forget like [post], but the callback is the engine-wide
-   [tagged_sink] applied to (tag, arg): no closure is built per event,
-   so a warm free list makes this path allocation-free end to end. *)
-let post_tagged t ~at ~tag arg =
-  if tag < 0 then invalid_arg "Engine.post_tagged: tag must be >= 0";
-  check_future t at;
-  let ev =
-    match t.free with
-    | ev :: rest ->
-        t.free <- rest;
-        ev.time <- at;
-        ev.seq <- t.next_seq;
-        ev.tag <- tag;
-        ev.arg <- arg;
-        ev
-    | [] ->
-        let nil = t.nil in
-        { time = at; seq = t.next_seq; cancelled = false; pooled = true;
-          run = nop; tag; arg; owner = t; wnext = nil; wprev = nil;
-          wslot = -1 }
-  in
-  t.next_seq <- t.next_seq + 1;
-  push t ev
 
 let cancel (ev : handle) =
   (* Events are marked cancelled when they fire, so late cancels of
@@ -309,8 +267,6 @@ let pop_root t =
 
 let recycle t ev =
   ev.run <- nop;
-  ev.tag <- -1;
-  ev.arg <- null_arg;
   ev.cancelled <- false;
   t.free <- ev :: t.free
 
@@ -355,17 +311,9 @@ let step t =
     let ev = pop_root t in
     t.now <- ev.time;
     t.fired <- t.fired + 1;
-    if ev.tag >= 0 then begin
-      let tag = ev.tag and arg = ev.arg in
-      recycle t ev;
-      (* tagged events are always pooled *)
-      t.tagged_sink tag arg
-    end
-    else begin
-      let f = ev.run in
-      if ev.pooled then recycle t ev else ev.cancelled <- true;
-      f ()
-    end;
+    let f = ev.run in
+    if ev.pooled then recycle t ev else ev.cancelled <- true;
+    f ();
     true
   end
 
@@ -389,20 +337,6 @@ let run ?until t =
           end
         end
       done
-
-(* Lower bound on the next live event's fire time, [None] when idle.
-   The heap head is exact once tombstoned heads are drained (a local
-   mutation, safe between runs); the wheel contributes its conservative
-   slot bound. The shard barrier feeds the fleet-wide minimum of these
-   into the adaptive window horizon, so "lower bound" is the contract —
-   never later than the true next event. *)
-let next_event_time t =
-  drain_cancelled_heads t;
-  let bound = Wheel.next_time_lower_bound (wheel_of t) in
-  let bound =
-    if t.len > 0 && t.data.(0).time < bound then t.data.(0).time else bound
-  in
-  if bound = max_int then None else Some bound
 
 let pending t = t.len - t.tombstones + Wheel.live (wheel_of t)
 let queue_length t = t.len

@@ -41,22 +41,6 @@ val post_after : t -> delay:Time.t -> (unit -> unit) -> unit
 
     @raise Invalid_argument if [delay] is negative. *)
 
-val set_tagged_sink : t -> (int -> Obj.t -> unit) -> unit
-(** Install the engine-wide handler for {!post_tagged} events. One sink
-    per engine: the shard runtime installs the destination fabric's
-    deliver here once, and every cross-shard packet event dispatches
-    through it without a per-event closure. *)
-
-val post_tagged : t -> at:Time.t -> tag:int -> Obj.t -> unit
-(** Closure-free {!post}: when the event fires, the installed
-    {!set_tagged_sink} handler is applied to [(tag, arg)]. With a warm
-    free list this allocates nothing at all — not even the callback
-    closure — which is what makes the sharded barrier drain
-    allocation-free. [tag] must be [>= 0] ([-1] marks plain events
-    internally); firing without a sink installed fails loudly.
-
-    @raise Invalid_argument if [at] is in the past or [tag < 0]. *)
-
 val cancel : handle -> unit
 (** Prevent a pending event from firing. Cancelling an event that already
     fired (or was already cancelled) is a no-op. Events parked in the
@@ -77,15 +61,6 @@ val run : ?until:Time.t -> t -> unit
 val pending : t -> int
 (** Number of scheduled, not-yet-cancelled events, whether heap-resident
     or parked in the timing wheel. O(1). *)
-
-val next_event_time : t -> Time.t option
-(** Conservative lower bound on the next live event's fire time ([None]
-    when nothing is pending): the exact heap-head time combined with the
-    timing wheel's slot-granular bound ({!Wheel.next_time_lower_bound}).
-    Never later than the true next event — the contract the adaptive
-    shard barrier relies on to widen windows to
-    [min_next_event + lookahead]. Intended to be called between runs
-    (it drains tombstoned heap heads, a local mutation). *)
 
 val queue_length : t -> int
 (** Physical heap size, including cancelled tombstones not yet drained or

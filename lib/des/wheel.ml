@@ -185,56 +185,3 @@ let advance_next t ~emit =
    timers land in low levels. Requires [live t = 0]. *)
 let catch_up t ~upto = t.wt <- Stdlib.max t.wt (upto asr tick_bits)
 
-(* Lower bound on the earliest parked entry's time, without flushing
-   anything. Level 0 resolves single ticks, so the first occupied slot
-   at or after [wt] is the minimum level-0 tick and walking its (short)
-   list gives that level's exact minimum. Higher levels only yield their
-   first occupied slot's base time: entries inside the slot may be up to
-   a slot-width later, and a wrapped slot (group base + slots_per_level
-   sharing a physical index with group base) may make the bound earlier
-   than any real entry — both errors are on the conservative side, which
-   is all the adaptive shard barrier needs. O(slots) worst case, no
-   allocation, no mutation. *)
-let next_time_lower_bound t =
-  if t.live = 0 then max_int
-  else begin
-    let best = ref max_int in
-    if t.counts.(0) > 0 then begin
-      let tick = ref (-1) in
-      let d = ref 0 in
-      while !tick < 0 && !d < slots_per_level do
-        if t.slots.((t.wt + !d) land slot_mask) != t.nil then
-          tick := t.wt + !d;
-        incr d
-      done;
-      (match !tick with
-      | -1 -> () (* unreachable: counts.(0) > 0 *)
-      | tick ->
-          let e = ref t.slots.(tick land slot_mask) in
-          while !e != t.nil do
-            let tm = t.ops.time !e in
-            if tm < !best then best := tm;
-            e := t.ops.next !e
-          done)
-    end;
-    for lvl = 1 to levels - 1 do
-      if t.counts.(lvl) > 0 then begin
-        let shift = lvl * slot_bits in
-        let base = t.wt lsr shift in
-        let g = ref (-1) in
-        let d = ref 0 in
-        while !g < 0 && !d < slots_per_level do
-          let cand = base + !d in
-          if t.slots.((lvl lsl slot_bits) lor (cand land slot_mask)) != t.nil
-          then g := cand;
-          incr d
-        done;
-        if !g >= 0 then begin
-          (* Ticks to ns; entries never sit below [wt]. *)
-          let bound = Stdlib.max (!g lsl shift) t.wt lsl tick_bits in
-          if bound < !best then best := bound
-        end
-      end
-    done;
-    !best
-  end

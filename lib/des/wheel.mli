@@ -62,14 +62,6 @@ val catch_up : 'a t -> upto:int -> unit
 (** Drop empty ticks so the wheel origin tracks the clock. Requires
     [live t = 0]. *)
 
-val next_time_lower_bound : 'a t -> int
-(** Conservative lower bound (ns) on the earliest parked entry's fire
-    time, or [max_int] when empty: exact for entries in the first
-    occupied level-0 tick, slot-base-rounded for entries still parked at
-    higher levels. Read-only — nothing is flushed or cascaded — so it
-    may be called between engine runs (the shard barrier uses it to
-    widen the next window). *)
-
 val cascades : 'a t -> int
 (** Higher-level slot redistributions performed (diagnostics). *)
 

@@ -46,18 +46,6 @@ let add_link t ~src ~dst link =
       | None -> ());
   Hashtbl.add t.links (link_key ~src ~dst) link
 
-(* A cross-shard link: [dst] lives on another shard's fabric, so there
-   is no local handler to connect. The remote sink (typically built from
-   [Des.Shard.post_remote] plus the destination fabric's [deliver])
-   carries the packet across the shard boundary at its arrival time. *)
-let add_remote_link t ~src ~dst ~remote link =
-  check_ip ~who:"Fabric.add_remote_link" src;
-  check_ip ~who:"Fabric.add_remote_link" dst;
-  if Hashtbl.mem t.links (link_key ~src ~dst) then
-    invalid_arg (Fmt.str "Fabric.add_remote_link: link %d->%d exists" src dst);
-  Link.connect_remote link remote;
-  Hashtbl.add t.links (link_key ~src ~dst) link
-
 let deliver t ~ip pkt =
   match Hashtbl.find_opt t.hosts ip with
   | Some handler -> handler pkt

@@ -41,26 +41,9 @@ val add_link : t -> src:ip -> dst:ip -> Link.t -> unit
     @raise Invalid_argument if a [src]→[dst] link already exists or the
     destination host is not registered. *)
 
-val add_remote_link :
-  t ->
-  src:ip ->
-  dst:ip ->
-  remote:(at:Des.Time.t -> Packet.t -> unit) ->
-  Link.t ->
-  unit
-(** Install a directed link whose destination host lives on another
-    shard's fabric. [dst] need not be registered here; the link's
-    receiving end is [remote] (see {!Link.connect_remote}), which the
-    shard runtime uses to hand the packet to the owning engine at its
-    arrival time — typically [Des.Shard.post_remote] wrapping the remote
-    fabric's {!deliver}.
-
-    @raise Invalid_argument if a [src]→[dst] link already exists. *)
-
 val deliver : t -> ip:ip -> Packet.t -> unit
-(** Invoke host [ip]'s receive handler directly — the terminal step of a
-    cross-shard handoff, running on this fabric's engine at the packet's
-    arrival time.
+(** Invoke host [ip]'s receive handler directly, bypassing every link —
+    e.g. to replay a captured packet stream into a host.
 
     @raise Invalid_argument if [ip] is not registered. *)
 

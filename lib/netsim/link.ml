@@ -1,13 +1,3 @@
-(* A link's receiving end is either a host on the same engine (the
-   normal case: propagation is one more pooled event on this engine) or
-   a host owned by another shard. A remote sink is handed the absolute
-   arrival time instead of an event: the shard runtime buffers the
-   packet in an inbox and the *destination* engine schedules it, so no
-   domain ever touches another domain's wheel or heap. *)
-type sink =
-  | Local of (Packet.t -> unit)
-  | Remote of (at:Des.Time.t -> Packet.t -> unit)
-
 type t = {
   engine : Des.Engine.t;
   delay : Des.Time.t;
@@ -18,7 +8,7 @@ type t = {
   rng : Des.Rng.t option;
   queue : Packet.t Queue.t;
   mutable busy : bool;
-  mutable sink : sink option;
+  mutable sink : (Packet.t -> unit) option;
   mutable extra : Des.Time.t;
   m_sent : Telemetry.Registry.counter;
   m_bytes : Telemetry.Registry.counter;
@@ -73,11 +63,7 @@ let create engine ~delay ?(rate_bps = 10_000_000_000) ?(queue_capacity = 1024)
 
 let connect t sink =
   if t.sink <> None then invalid_arg "Link.connect: already connected";
-  t.sink <- Some (Local sink)
-
-let connect_remote t sink =
-  if t.sink <> None then invalid_arg "Link.connect_remote: already connected";
-  t.sink <- Some (Remote sink)
+  t.sink <- Some sink
 
 let tx_time t pkt =
   if t.rate_bps = 0 then 0
@@ -99,17 +85,14 @@ let jitter_of t =
 let deliver t pkt =
   match t.sink with
   | None -> invalid_arg "Link.send: not connected"
-  | Some (Local sink) -> sink pkt
-  | Some (Remote _) -> invalid_arg "Link.deliver: remote sink"
+  | Some sink -> sink pkt
 
 (* Transmit the head of the queue; when its last bit leaves, start
    propagation (or drop it if the loss process says so) and move on to
    the next queued packet. *)
 (* Both per-packet events go through the engine's pooled fire-and-forget
    path: neither is ever cancelled, so the event records are recycled
-   and a packet traversal costs only the two callback closures. A
-   remote sink replaces the propagation event with a handoff at the
-   arrival timestamp — the destination shard's engine schedules it. *)
+   and a packet traversal costs only the two callback closures. *)
 let rec start_tx t =
   match Queue.take_opt t.queue with
   | None -> t.busy <- false
@@ -121,12 +104,8 @@ let rec start_tx t =
             let prop = t.delay + t.extra + jitter_of t in
             Telemetry.Registry.Counter.incr t.m_sent;
             Telemetry.Registry.Counter.add t.m_bytes (Packet.wire_size pkt);
-            match t.sink with
-            | Some (Remote sink) ->
-                sink ~at:(Des.Engine.now t.engine + prop) pkt
-            | _ ->
-                Des.Engine.post_after t.engine ~delay:prop (fun () ->
-                    deliver t pkt)
+            Des.Engine.post_after t.engine ~delay:prop (fun () ->
+                deliver t pkt)
           end;
           start_tx t)
 
@@ -151,7 +130,6 @@ let set_loss_prob t p =
   t.loss_prob <- p
 
 let extra_delay t = t.extra
-let base_delay t = t.delay
 let loss_prob t = t.loss_prob
 let has_rng t = t.rng <> None
 let packets_sent t = Telemetry.Registry.Counter.value t.m_sent

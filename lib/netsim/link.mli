@@ -47,20 +47,6 @@ val connect : t -> (Packet.t -> unit) -> unit
 (** Set the delivery callback (the receiving host). Must be called before
     the first {!send}. *)
 
-val connect_remote : t -> (at:Des.Time.t -> Packet.t -> unit) -> unit
-(** Connect the receiving end to a host owned by another shard. Instead
-    of scheduling the propagation leg on this link's engine, the callback
-    receives the absolute arrival time ([now + delay + extra + jitter],
-    evaluated when the packet's last bit leaves the transmitter) and the
-    packet; the shard runtime is responsible for executing delivery at
-    that time on the destination engine. The base [delay] lower-bounds
-    the gap between send and arrival, which is exactly the cross-shard
-    lookahead {!Des.Shard} relies on. *)
-
-val base_delay : t -> Des.Time.t
-(** The static propagation delay the link was created with (excluding
-    [extra] and jitter, which only ever add). *)
-
 val send : t -> Packet.t -> unit
 (** Enqueue a packet for transmission. Silently dropped if the queue is
     full (counted in {!drops}). *)

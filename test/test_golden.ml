@@ -34,48 +34,58 @@ let fig2b () =
   Alcotest.(check string) "fig2b tracking summary (seed 0x5eed2)" expected
     rendered
 
-(* The remap layer must be invisible under its default: an explicit
-   [--remap preserve] Fig 3 CSV is byte-identical to the pre-remap
-   default, at any --jobs and --shards combination. (Fig 2 exercises no
-   balancer, so the fig2a/fig2b goldens above already pin its tables
-   against the remap plumbing by construction.) A compressed 6 s
-   timeline keeps the grid affordable; byte-equality is scale-free. *)
-let fig3_remap_preserve () =
-  let run ~explicit ~shards ~jobs =
-    let scenario =
-      { Cluster.Fig3.default_scenario with Cluster.Scenario.shards }
-    in
-    let scenario =
-      if not explicit then scenario
-      else
-        {
-          scenario with
-          Cluster.Scenario.lb =
-            {
-              scenario.Cluster.Scenario.lb with
-              Inband.Config.remap =
-                (match Inband.Remap.of_string "preserve" with
-                | Ok r -> r
-                | Error msg -> Alcotest.fail msg);
-            };
-        }
-    in
-    Cluster.Csv.fig3_series
-      (Cluster.Fig3.run ~scenario ~jobs ~duration:(Des.Time.sec 6)
-         ~inject_at:(Des.Time.sec 2) ())
+(* Fig 3 and the flow-churn workload are pinned across commits by
+   checked-in CSVs: a compressed 6 s Fig 3 timeline (injection at 2 s)
+   and a 257-flow churn run at two seeds. *)
+let fig3_csv ?(explicit = false) ~jobs () =
+  let scenario = Cluster.Fig3.default_scenario in
+  let scenario =
+    if not explicit then scenario
+    else
+      {
+        scenario with
+        Cluster.Scenario.lb =
+          {
+            scenario.Cluster.Scenario.lb with
+            Inband.Config.remap =
+              (match Inband.Remap.of_string "preserve" with
+              | Ok r -> r
+              | Error msg -> Alcotest.fail msg);
+          };
+      }
   in
-  let reference = run ~explicit:false ~shards:1 ~jobs:1 in
-  Alcotest.(check bool) "reference CSV is non-trivial" true
-    (String.length reference > 100);
+  Cluster.Csv.fig3_series
+    (Cluster.Fig3.run ~scenario ~jobs ~duration:(Des.Time.sec 6)
+       ~inject_at:(Des.Time.sec 2) ())
+
+let fig3_golden () =
+  Alcotest.(check string)
+    "fig3 CSV (6 s, default scenario)"
+    (read_file "golden_fig3.expected")
+    (fig3_csv ~jobs:1 ())
+
+(* The remap layer must be invisible under its default: an explicit
+   [--remap preserve] Fig 3 CSV is byte-identical to the golden default
+   at any --jobs, and so is the default at --jobs 2. (Fig 2 exercises
+   no balancer, so the fig2a/fig2b goldens above already pin its tables
+   against the remap plumbing by construction.) *)
+let fig3_remap_preserve () =
+  let expected = read_file "golden_fig3.expected" in
   List.iter
-    (fun (explicit, shards, jobs) ->
+    (fun (explicit, jobs) ->
       Alcotest.(check string)
-        (Fmt.str "fig3 CSV (%s, shards=%d, jobs=%d)"
+        (Fmt.str "fig3 CSV (%s, jobs=%d)"
            (if explicit then "explicit preserve" else "default")
-           shards jobs)
-        reference
-        (run ~explicit ~shards ~jobs))
-    [ (true, 1, 1); (true, 2, 2); (false, 2, 1) ]
+           jobs)
+        expected
+        (fig3_csv ~explicit ~jobs ()))
+    [ (true, 1); (true, 2); (false, 2) ]
+
+let flows_golden seed () =
+  Alcotest.(check string)
+    (Fmt.str "flows CSV (n=257, seed=%d)" seed)
+    (read_file (Fmt.str "golden_flows_seed%d.expected" seed))
+    (Cluster.Sharded.flows ~seed ~n:257 ()).Cluster.Sharded.csv
 
 let () =
   Alcotest.run "golden"
@@ -87,7 +97,13 @@ let () =
         ] );
       ( "fig3",
         [
+          Alcotest.test_case "golden CSV" `Slow fig3_golden;
           Alcotest.test_case "remap-preserve CSV byte-identity" `Slow
             fig3_remap_preserve;
+        ] );
+      ( "flows",
+        [
+          Alcotest.test_case "golden CSV seed 0" `Quick (flows_golden 0);
+          Alcotest.test_case "golden CSV seed 3" `Quick (flows_golden 3);
         ] );
     ]
