@@ -87,6 +87,30 @@ let flows_golden seed () =
     (read_file (Fmt.str "golden_flows_seed%d.expected" seed))
     (Cluster.Sharded.flows ~seed ~n:257 ()).Cluster.Sharded.csv
 
+(* The LB fleet (A7 coordination, A8 control laws) is pinned by a short
+   coordination sweep and a short law sweep: 1 and 2 LBs, 3 s runs,
+   the server delay injected at 1.5 s. The law sweep leaves out
+   shift-worst, whose uncoordinated rows are the coordination table's
+   [none] rows. *)
+let herd_tables () =
+  let lb_counts = [ 1; 2 ]
+  and duration = Des.Time.sec 3
+  and inject_at = Des.Time.of_float_s 1.5 in
+  Cluster.Multi_lb.coord_table
+    (Cluster.Multi_lb.coord_sweep ~lb_counts ~duration ~inject_at ())
+  ^ "\n"
+  ^ Cluster.Multi_lb.law_table
+      (Cluster.Multi_lb.law_sweep
+         ~laws:Inband.Control_law.[ Knapsack; Gradient ]
+         ~lb_counts ~duration ~inject_at ())
+  ^ "\n"
+
+let herd_golden () =
+  Alcotest.(check string)
+    "coord and law tables (LBs 1,2; 3 s; injected at 1.5 s)"
+    (read_file "golden_herd.expected")
+    (herd_tables ())
+
 let () =
   Alcotest.run "golden"
     [
@@ -101,6 +125,7 @@ let () =
           Alcotest.test_case "remap-preserve CSV byte-identity" `Slow
             fig3_remap_preserve;
         ] );
+      ("herd", [ Alcotest.test_case "golden tables" `Slow herd_golden ]);
       ( "flows",
         [
           Alcotest.test_case "golden CSV seed 0" `Quick (flows_golden 0);
