@@ -117,8 +117,8 @@ let run_ablation_source ~jobs () =
    through the latency-aware balancer into memcached servers, with the
    +1 ms path injection a third of the way in. Wall-clock per simulated
    DES event is the repo's end-to-end perf number; the best of
-   [iterations] runs is recorded in BENCH_pr3.json so the trajectory is
-   tracked across PRs. *)
+   [iterations] runs is recorded in BENCH_pr3.json (outside [--check])
+   so the trajectory is tracked across PRs. *)
 
 let e2e_duration = Des.Time.sec 10
 let e2e_iterations = 3
@@ -162,7 +162,16 @@ let e2e_once () =
    tripwire that fired — [rate], [words] or [baseline-discovery] — so a
    red CI job says what regressed without reading the harness. *)
 let bench_json_read = Cluster.Bench_store.read
-let bench_json_write = Cluster.Bench_store.write
+
+(* Under [--check] a bench is a gate over the recorded history and
+   writes nothing: a CI run must not rewrite the record it is judged
+   against. *)
+let bench_json_record ~check path ~bench fields =
+  if check then Fmt.pr "--check: %s left unchanged@." path
+  else begin
+    Cluster.Bench_store.write path ~bench fields;
+    Fmt.pr "wrote %s@." path
+  end
 
 (* A bench's baseline file, plus whether discovery actually found one.
    Self-recording a fresh baseline is fine interactively but makes a
@@ -198,11 +207,11 @@ let require_discovered ~smoke ~key ~check discovered =
    tolerance); the gradient law's post-injection p95 must stay within
    10% of shift-worst's at every fleet size; and gradient+gossip must
    cut fleet-total actions vs uncoordinated gradient at every multi-LB
-   fleet size. Results are recorded via Cluster.Bench_store so the
-   newest-baseline discovery picks them up. *)
+   fleet size. Outside [--check], results are recorded via
+   Cluster.Bench_store so the newest-baseline discovery picks them up. *)
 let run_ablation_law ~jobs ~check () =
-  let rows = Cluster.Ablations.law_sweep ~jobs () in
-  Cluster.Ablations.print_laws rows;
+  let rows = Cluster.Multi_lb.law_sweep ~jobs () in
+  Cluster.Multi_lb.print_laws rows;
   let find law coord n_lbs =
     List.find_opt
       (fun r ->
@@ -250,9 +259,8 @@ let run_ablation_law ~jobs ~check () =
     | Some v when v > 0.0 -> v
     | Some _ | None -> finite measured_baseline
   in
-  bench_json_write bench_json_path ~bench:"ablation-law"
+  bench_json_record ~check bench_json_path ~bench:"ablation-law"
     ((baseline_key, recorded_baseline) :: fields);
-  Fmt.pr "wrote %s@." bench_json_path;
   if check then begin
     let violations =
       List.fold_left
@@ -347,9 +355,9 @@ let run_e2e ~check () =
     List.filter (fun (k, _) -> String.length k > 7 && String.sub k 0 7 = "before_") prior
   in
   let before = if before = [] then measurement_fields "before" m else before in
-  bench_json_write bench_json_path ~bench:"fig3-e2e"
+  Fmt.pr "best: %.0f events/s@." m.events_per_sec;
+  bench_json_record ~check bench_json_path ~bench:"fig3-e2e"
     (before @ measurement_fields "after" m);
-  Fmt.pr "best: %.0f events/s; wrote %s@." m.events_per_sec bench_json_path;
   (match List.assoc_opt "before_events_per_sec" before with
   | Some b when b > 0.0 ->
       Fmt.pr "recorded baseline: %.0f events/s (%.2fx)@." b
@@ -397,8 +405,7 @@ let run_frontier ~jobs ~check () =
         ])
       result.Cluster.Frontier.cells
   in
-  bench_json_write "BENCH_pr10.json" ~bench:"frontier" fields;
-  Fmt.pr "wrote BENCH_pr10.json@.";
+  bench_json_record ~check "BENCH_pr10.json" ~bench:"frontier" fields;
   if check then begin
     let cell pred intensity =
       List.find_opt
@@ -502,7 +509,7 @@ let run_soak ~minutes ~check () =
       ^ String.map (fun c -> if c = '.' then '_' else c) v.Cluster.Soak.metric,
       v.Cluster.Soak.growth )
   in
-  bench_json_write "BENCH_pr7.json" ~bench:"soak"
+  bench_json_record ~check "BENCH_pr7.json" ~bench:"soak"
     ([
        ("soak_sim_minutes", result.Cluster.Soak.sim_minutes);
        ("soak_wall_s", wall_s);
@@ -517,7 +524,6 @@ let run_soak ~minutes ~check () =
        ("soak_stuck_conns", float_of_int result.Cluster.Soak.stuck_conns);
      ]
     @ List.map metric_field result.Cluster.Soak.verdicts);
-  Fmt.pr "wrote BENCH_pr7.json@.";
   if check then begin
     List.iter
       (fun (v : Cluster.Soak.verdict) ->

@@ -4,7 +4,7 @@
 
      lbsim fig2   [--duration 6] [--step-at 3] [--step-ms 1.0] ...
      lbsim fig3   [--duration 30] [--inject-at 10] [--policy ...] [--law ...]
-     lbsim sweep  (alpha | epoch | timing | policy | herd | law | ...)
+     lbsim sweep  (alpha | epoch | timing | policy | law | ...)
      lbsim herd   [--coord none|gossip|leader|all] [--law ...] [--lbs 1,2,4]
      lbsim run    [--faults FILE] [--assert-pcc] ...  (free-form scenario)
      lbsim churn  [--faults FILE] [--assert-recovery]
@@ -27,16 +27,26 @@ let sec =
 
 (* Integers with a lower bound, so out-of-range counts are usage errors
    rather than exceptions from deep inside a run. *)
-let int_at_least lo =
+let int_at_least ?(hi = max_int) lo =
   let parse s =
     match int_of_string_opt s with
-    | Some v when v >= lo -> Ok v
-    | Some _ | None -> Error (`Msg (Fmt.str "expected an integer >= %d" lo))
+    | Some v when v >= lo && v <= hi -> Ok v
+    | Some _ | None when hi = max_int ->
+        Error (`Msg (Fmt.str "expected an integer >= %d" lo))
+    | Some _ | None -> Error (`Msg (Fmt.str "expected an integer in %d..%d" lo hi))
   in
   Arg.conv (parse, Fmt.int)
 
 let pos_int = int_at_least 1
 let nonneg_int = int_at_least 0
+let lb_count = int_at_least ~hi:Cluster.Scenario.max_lbs 1
+
+let coord_policy =
+  let parse s =
+    Result.map_error (fun msg -> `Msg msg)
+      (Cluster.Coordination.policy_of_string s)
+  in
+  Arg.conv (parse, Cluster.Coordination.pp_policy)
 
 let policy =
   let parse s =
@@ -260,10 +270,8 @@ let sweep_cmd =
         dump_metrics result
     | "far" ->
         Cluster.Ablations.print_far (Cluster.Ablations.far_clients ~jobs ())
-    | "herd" ->
-        Cluster.Multi_lb.print_herd (Cluster.Multi_lb.herd_sweep ~jobs ~law ())
     | "law" ->
-        Cluster.Ablations.print_laws (Cluster.Ablations.law_sweep ~jobs ())
+        Cluster.Multi_lb.print_laws (Cluster.Multi_lb.law_sweep ~jobs ())
     | "dependency" ->
         Cluster.Dependency.print (Cluster.Dependency.run_cases ~jobs ())
     | "estimator" ->
@@ -277,7 +285,7 @@ let sweep_cmd =
     | other ->
         Fmt.epr
           "unknown sweep %S \
-           (alpha|epoch|timing|policy|far|herd|law|dependency|estimator|source|remap)@."
+           (alpha|epoch|timing|policy|far|law|dependency|estimator|source|remap)@."
           other
   in
   let which =
@@ -286,15 +294,16 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
-         "Ablation sweeps: alpha, epoch, timing, policy, far, herd, law, \
-          dependency, estimator, source, remap. The law sweep compares \
+         "Ablation sweeps: alpha, epoch, timing, policy, far, law, \
+          dependency, estimator, source, remap (the fleet sweep is \
+          $(b,lbsim herd)). The law sweep compares \
           control laws (shift-worst/knapsack/gradient — the $(b,--law) \
           axis) across fleet sizes; the policy sweep compares routing \
           policies (the $(b,--policy) axis) and honours \
           $(b,--metrics-csv)/$(b,--metrics-interval); the remap sweep \
           maps the PCC-violation / recovery-latency frontier across \
           remap policies and fault intensities. $(b,--law) selects the \
-          control law for the policy and herd sweeps; all sweeps honour \
+          control law for the policy sweep; all sweeps honour \
           $(b,--jobs) and render identically at any job count.")
     Term.(
       const run $ which $ law_arg $ metrics_csv_arg $ metrics_interval_arg
@@ -369,7 +378,7 @@ let herd_cmd =
   let lbs =
     Arg.(
       value
-      & opt (list pos_int) [ 1; 2; 4 ]
+      & opt (list lb_count) [ 1; 2; 4 ]
       & info [ "lbs" ] ~docv:"N,..." ~doc:"Fleet sizes to sweep.")
   in
   let duration =
@@ -665,8 +674,14 @@ let churn_cmd =
 (* --- soak: long-horizon churn + adversarial clients -------------------- *)
 
 let soak_cmd =
-  let run_single minutes warmup_s windows seed check =
-    let base = Cluster.Soak.default_config in
+  let run minutes warmup_s windows seed check lbs coord =
+    (* Either fleet flag selects the fleet preset; the run is the same. *)
+    let base =
+      if lbs = None && coord = None then Cluster.Soak.default_config
+      else Cluster.Soak.fleet_config
+    in
+    let scenario = base.Cluster.Soak.scenario in
+    let n_lbs = Option.value lbs ~default:scenario.Cluster.Scenario.n_lbs in
     let duration = Des.Time.sec (minutes * 60) in
     let config =
       {
@@ -674,7 +689,16 @@ let soak_cmd =
         Cluster.Soak.duration;
         warmup = Stdlib.min (Des.Time.sec warmup_s) (duration / 4);
         windows;
-        scenario = { base.Cluster.Soak.scenario with Cluster.Scenario.seed };
+        scenario =
+          {
+            scenario with
+            Cluster.Scenario.seed;
+            n_lbs;
+            n_clients = 2 * n_lbs;
+            coord =
+              Option.fold ~none:scenario.Cluster.Scenario.coord
+                ~some:Cluster.Coordination.for_policy coord;
+          };
       }
     in
     let result = Cluster.Soak.run ~config () in
@@ -684,62 +708,14 @@ let soak_cmd =
       exit 1
     end
   in
-  let run_coordinated minutes warmup_s windows seed check lbs policy =
-    let base = Cluster.Soak.default_coord_config in
-    let duration = Des.Time.sec (minutes * 60) in
-    let config =
-      {
-        base with
-        Cluster.Soak.coord_duration = duration;
-        coord_warmup = Stdlib.min (Des.Time.sec warmup_s) (duration / 4);
-        coord_windows = windows;
-        fleet =
-          {
-            base.Cluster.Soak.fleet with
-            Cluster.Multi_lb.n_lbs = lbs;
-            n_clients = 2 * lbs;
-            coord = Cluster.Multi_lb.coord_config_of policy;
-            seed;
-          };
-      }
-    in
-    let result = Cluster.Soak.run_coordinated ~config () in
-    Cluster.Soak.print_coordinated result;
-    if check && not (Cluster.Soak.coord_ok result) then begin
-      Fmt.epr "soak: coordinated flatness, stuck-state or PCC check failed@.";
-      exit 1
-    end
-  in
-  let run minutes warmup_s windows seed check lbs coord =
-    match (lbs, coord) with
-    | None, None -> run_single minutes warmup_s windows seed check
-    | lbs, coord ->
-        let policy =
-          match coord with
-          | None -> Cluster.Coordination.Gossip_average
-          | Some s -> begin
-              match Cluster.Coordination.policy_of_string s with
-              | Ok p -> p
-              | Error msg ->
-                  Fmt.epr "soak: bad --coord %S: %s@." s msg;
-                  exit 2
-            end
-        in
-        let lbs = Option.value lbs ~default:2 in
-        if lbs < 1 then begin
-          Fmt.epr "soak: --lbs must be at least 1@.";
-          exit 2
-        end;
-        run_coordinated minutes warmup_s windows seed check lbs policy
-  in
   let minutes =
     Arg.(
-      value & opt int 30
+      value & opt pos_int 30
       & info [ "minutes" ] ~doc:"Simulated soak length, minutes.")
   in
   let warmup =
     Arg.(
-      value & opt int 60
+      value & opt nonneg_int 60
       & info [ "warmup" ]
           ~doc:
             "Seconds excluded from the flatness and health checks \
@@ -747,7 +723,7 @@ let soak_cmd =
   in
   let windows =
     Arg.(
-      value & opt int 6
+      value & opt (int_at_least 2) 6
       & info [ "windows" ] ~doc:"Flatness windows over [warmup, duration].")
   in
   let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
@@ -764,19 +740,19 @@ let soak_cmd =
   let lbs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some lb_count) None
       & info [ "lbs" ] ~docv:"N"
           ~doc:
-            "Soak a whole $(b,N)-LB fleet (coordinated variant) instead \
-             of the single-LB churn cluster. Each LB gets its own VIP, \
-             estimator and controller plus two clients; server-delay \
-             pulses force the fleet to re-converge throughout. Implies \
-             $(b,--coord) gossip unless given.")
+            "Soak an $(b,N)-LB fleet instead of the single-LB churn \
+             cluster. Each LB gets its own VIP, estimator and controller \
+             plus two clients; server-delay pulses force the fleet to \
+             re-converge throughout. Implies $(b,--coord) gossip unless \
+             given.")
   in
   let coord =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some coord_policy) None
       & info [ "coord" ] ~docv:"POLICY"
           ~doc:
             "Control-plane policy for the fleet soak: $(b,none), \
@@ -790,8 +766,8 @@ let soak_cmd =
           repeating faults and adversarial clients (slowloris, pipeline \
           bursts, reconnect storms, segment-gap floods, RST floods), \
           asserting that memory telemetry stays flat and nothing gets \
-          stuck. With $(b,--lbs)/$(b,--coord), soak a coordinated \
-          multi-LB fleet instead.")
+          stuck. With $(b,--lbs)/$(b,--coord), soak an LB fleet \
+          instead.")
     Term.(const run $ minutes $ warmup $ windows $ seed $ check $ lbs $ coord)
 
 (* --- flows: flow-scale churn ------------------------------------------ *)

@@ -181,16 +181,6 @@ let policy_comparison ?jobs ?law ?(duration = Des.Time.sec 15)
     ~inject_at
     ()
 
-(* --- A8: control-law zoo ----------------------------------------------- *)
-
-(* The decision-rule ablation rides the herd harness: same injection,
-   same fleet sizes, laws swapped inside the controller. Defined in
-   {!Multi_lb} (it owns the harness); re-exported here so the ablation
-   battery stays one module. *)
-let law_sweep = Multi_lb.law_sweep
-let print_laws = Multi_lb.print_laws
-
-
 (* --- A6: far, non-equidistant clients ---------------------------------- *)
 
 type far_row = {

@@ -64,6 +64,8 @@ let default_config =
     staleness_bound = Des.Time.ms 500;
   }
 
+let for_policy policy = { default_config with policy }
+
 let validate config =
   if config.period <= 0 then Error "period must be positive"
   else if config.delay < 0 then Error "delay must be >= 0"

@@ -44,6 +44,9 @@ val default_config : config
 (** [Uncoordinated], 10 ms period, 1 ms delay, no loss, 50 ms fleet
     epoch, 500 ms staleness bound. *)
 
+val for_policy : policy -> config
+(** {!default_config} with the given policy. *)
+
 val validate : config -> (unit, string) result
 
 type snapshot = {

@@ -18,7 +18,14 @@
       or infinite;
     - {b PCC} — zero per-connection-consistency violations.
 
-    [bench soak] wires this to the command line and CI. *)
+    The scenario may be an LB fleet ([n_lbs > 1], optionally with a
+    {!Coordination} control plane): adversaries then round-robin across
+    the VIPs, every LB gets an oracle, the flow gauges and the stuck
+    census sum over the fleet, and [coord.backlog] tracks the plane's
+    in-flight messages.
+
+    [bench soak] and [lbsim soak] wire this to the command line and
+    CI. *)
 
 type config = {
   scenario : Scenario.config;
@@ -50,6 +57,14 @@ val default_config : config
 
 val default_watched : (string * float option) list
 val default_pathologies : (Workload.Pathology.kind * int) list
+
+val fleet_config : config
+(** 10 simulated minutes over the herd fleet ({!Multi_lb.fleet}) with
+    3 servers and 2 LBs under gossip: server 1 runs 1 ms slow for the
+    middle half of every 40 s period, and three pathologies (slowloris,
+    reconnect storm, RST flood) attack throughout. Watches live words,
+    fleet-total active flows, the fleet tombstone ratio (bounded), the
+    control-plane backlog and the DES pending count. *)
 
 type verdict = {
   metric : string;
@@ -90,13 +105,19 @@ type result = {
   duration : Des.Time.t;
   sim_minutes : float;
   verdicts : verdict list;
-  stuck_flows : int;  (** Balancer flow-table entries after drain. *)
+  stuck_flows : int;  (** Flow-table entries after drain, fleet total. *)
   stuck_conns : int;  (** Server-side connections after drain. *)
   stuck_states : (string * int) list;
       (** TCP-state census of the stuck connections. *)
   estimator_ok : bool;
-  pcc_checked : int;
+  pcc_checked : int;  (** Fleet total. *)
   pcc_violations : int;
+  n_lbs : int;
+  coord : Coordination.policy;
+  msgs : int;  (** Control-plane snapshots sent; 0 without a plane. *)
+  suppressed : int;  (** Hysteresis vetoes and no-change imposes. *)
+  imposed : int;  (** Follower weight adoptions (leader mode). *)
+  stale : int;  (** Leader snapshots ignored as too old. *)
   reasm_drops : int;  (** Segments refused at the reassembly cap. *)
   send_drops : int;  (** Writes refused at the send-queue cap. *)
   fault_intervals : int;
@@ -119,65 +140,3 @@ val ok : result -> bool
     violations. *)
 
 val print : ?config:config -> result -> unit
-
-(** {1 Coordinated multi-LB soak}
-
-    The same memory-flatness discipline applied to a whole {!Multi_lb}
-    fleet running a {!Coordination} control plane (gossip or leader).
-    Server-delay pulses force the fleet to re-converge round after
-    round; adversarial clients attack every VIP; the run must end with
-    empty flow/connection tables, zero PCC violations, and flat
-    fleet-wide gauges — including the control plane's own send/receive
-    backlog. [lbsim soak --lbs N --coord gossip|leader] wires this to
-    the command line. *)
-
-type coord_config = {
-  fleet : Multi_lb.config;
-  coord_duration : Des.Time.t;
-  coord_warmup : Des.Time.t;
-  coord_drain : Des.Time.t;
-  coord_windows : int;
-  coord_growth_tolerance : float;
-  coord_monotonic_tolerance : float;
-  coord_watched : (string * float option) list;
-  coord_pathologies : (Workload.Pathology.kind * int) list;
-  pulse_period : Des.Time.t;  (** Server-delay pulse pitch. *)
-  pulse_delay : Des.Time.t;  (** Injected delay while a pulse holds. *)
-  pulse_victim : int;  (** Server index the pulses degrade. *)
-}
-
-val default_coord_config : coord_config
-(** 10 simulated minutes, 2 LBs under gossip with PCC oracles, 3
-    servers, pulses every 40 s on server 1, three pathology clients. *)
-
-val default_coord_watched : (string * float option) list
-
-type coord_result = {
-  c_n_lbs : int;
-  c_policy : Coordination.policy;
-  c_sim_minutes : float;
-  c_verdicts : verdict list;
-  c_stuck_flows : int;  (** Fleet-total flow-table entries after drain. *)
-  c_stuck_conns : int;  (** Server-side connections after drain. *)
-  c_pulses : int;
-  c_msgs : int;  (** Control-plane snapshots sent fleet-wide. *)
-  c_suppressed : int;
-  c_imposed : int;
-  c_stale : int;
-  c_pcc_checked : int;
-  c_pcc_violations : int;
-  c_pathology_conns : int;
-  c_rsts_sent : int;
-  c_events_fired : int;
-  c_rows : Telemetry.Snapshot.row list;
-}
-
-val run_coordinated : ?config:coord_config -> unit -> coord_result
-
-val coord_flat : coord_result -> bool
-
-val coord_ok : coord_result -> bool
-(** {!coord_flat} plus zero stuck flows/conns and zero PCC
-    violations. *)
-
-val print_coordinated : coord_result -> unit

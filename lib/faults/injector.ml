@@ -1,7 +1,7 @@
 type env = {
-  link : string -> Netsim.Link.t option;
+  links : string -> Netsim.Link.t list;
   server : int -> Memcache.Server.t option;
-  controller : int -> Inband.Controller.t option;
+  controllers : int -> Inband.Controller.t list;
 }
 
 type phase = Applied | Reverted
@@ -50,20 +50,20 @@ let resolve env (e : Timeline.event) =
   | Ok () -> ()
   | Error msg ->
       invalid_arg (Fmt.str "Faults.Injector: %s: %s" (Timeline.to_spec e) msg));
-  let link name =
-    match env.link name with
-    | Some l -> l
-    | None -> invalid_arg ("Faults.Injector: unknown link " ^ name)
+  let links name =
+    match env.links name with
+    | [] -> invalid_arg ("Faults.Injector: unknown link " ^ name)
+    | ls -> ls
   in
   let server i =
     match env.server i with
     | Some s -> s
     | None -> invalid_arg (Fmt.str "Faults.Injector: unknown server %d" i)
   in
-  let controller i =
-    match env.controller i with
-    | Some c -> c
-    | None ->
+  let controllers i =
+    match env.controllers i with
+    | _ :: _ as cs -> cs
+    | [] ->
         invalid_arg
           (Fmt.str
              "Faults.Injector: no controller for backend %d (drain needs the \
@@ -72,34 +72,37 @@ let resolve env (e : Timeline.event) =
   in
   match (e.target, e.fault) with
   | Timeline.Link name, (Timeline.Delay d | Timeline.Spike d) ->
-      let l = link name in
+      let ls = links name in
       fun _engine ->
-        let prev = Netsim.Link.extra_delay l in
-        Netsim.Link.set_extra_delay l d;
-        fun () -> Netsim.Link.set_extra_delay l prev
+        let prevs = List.map Netsim.Link.extra_delay ls in
+        List.iter (fun l -> Netsim.Link.set_extra_delay l d) ls;
+        fun () -> List.iter2 Netsim.Link.set_extra_delay ls prevs
   | Timeline.Link name, Timeline.Ramp target ->
-      let l = link name in
+      let ls = links name in
       let duration = Option.get e.duration in
       fun engine ->
-        let prev = Netsim.Link.extra_delay l in
-        for k = 1 to ramp_steps do
-          ignore
-            (Des.Engine.schedule_after engine ~delay:(k * duration / ramp_steps)
-               (fun () ->
-                 Netsim.Link.set_extra_delay l
-                   (prev + ((target - prev) * k / ramp_steps))))
-        done;
+        List.iter
+          (fun l ->
+            let prev = Netsim.Link.extra_delay l in
+            for k = 1 to ramp_steps do
+              ignore
+                (Des.Engine.schedule_after engine
+                   ~delay:(k * duration / ramp_steps) (fun () ->
+                     Netsim.Link.set_extra_delay l
+                       (prev + ((target - prev) * k / ramp_steps))))
+            done)
+          ls;
         fun () -> ()
   | Timeline.Link name, Timeline.Loss p ->
-      let l = link name in
-      if p > 0.0 && not (Netsim.Link.has_rng l) then
+      let ls = links name in
+      if p > 0.0 && not (List.for_all Netsim.Link.has_rng ls) then
         invalid_arg
           (Fmt.str
              "Faults.Injector: link %s has no rng (loss faults need one)" name);
       fun _engine ->
-        let prev = Netsim.Link.loss_prob l in
-        Netsim.Link.set_loss_prob l p;
-        fun () -> Netsim.Link.set_loss_prob l prev
+        let prevs = List.map Netsim.Link.loss_prob ls in
+        List.iter (fun l -> Netsim.Link.set_loss_prob l p) ls;
+        fun () -> List.iter2 Netsim.Link.set_loss_prob ls prevs
   | Timeline.Server i, Timeline.Slow f ->
       let s = server i in
       fun _engine ->
@@ -113,11 +116,18 @@ let resolve env (e : Timeline.event) =
         Memcache.Server.pause s ~until:(Des.Engine.now engine + duration);
         fun () -> Memcache.Server.resume s
   | Timeline.Backend i, Timeline.Drain ->
-      let c = controller i in
+      let cs = controllers i in
       fun engine ->
-        Inband.Controller.drain c ~now:(Des.Engine.now engine) ~server:i;
+        List.iter
+          (fun c ->
+            Inband.Controller.drain c ~now:(Des.Engine.now engine) ~server:i)
+          cs;
         fun () ->
-          Inband.Controller.restore c ~now:(Des.Engine.now engine) ~server:i
+          List.iter
+            (fun c ->
+              Inband.Controller.restore c ~now:(Des.Engine.now engine)
+                ~server:i)
+            cs
   | (Timeline.Link _ | Timeline.Server _ | Timeline.Backend _), _ ->
       (* validate above rejects every fault/target mismatch *)
       assert false

@@ -13,12 +13,15 @@
     so reports can compute per-fault detection and recovery latency. *)
 
 type env = {
-  link : string -> Netsim.Link.t option;
-      (** Resolve a timeline link name, e.g. ["lb->s1"]. *)
+  links : string -> Netsim.Link.t list;
+      (** Resolve a timeline link name, e.g. ["lb->s1"], to the links
+          it names — one per LB in a fleet; [[]] if unknown. A link
+          fault applies to each. *)
   server : int -> Memcache.Server.t option;
-  controller : int -> Inband.Controller.t option;
-      (** Controller owning the given backend index; [None] when the
-          scenario runs without feedback control (drain unsupported). *)
+  controllers : int -> Inband.Controller.t list;
+      (** Controllers steering the given backend index, one per LB;
+          [[]] when the scenario runs without feedback control (drain
+          unsupported). *)
 }
 
 type phase = Applied | Reverted

@@ -32,11 +32,18 @@ let cases =
     [ "flows"; "--seed=-1" ];
     [ "herd"; "--lbs"; "0" ];
     [ "herd"; "--lbs"; "2,0" ];
+    [ "herd"; "--lbs"; "10" ];
     [ "fig3"; "--jobs=-1" ];
     [ "fig3"; "--servers"; "0" ];
     [ "run"; "--servers"; "0" ];
     [ "run"; "--connections"; "0" ];
     [ "sweep"; "alpha"; "-j"; "-2" ];
+    [ "soak"; "--minutes"; "0" ];
+    [ "soak"; "--windows"; "0" ];
+    [ "soak"; "--windows"; "1" ];
+    [ "soak"; "--warmup=-1" ];
+    [ "soak"; "--lbs"; "0" ];
+    [ "soak"; "--coord"; "bogus" ];
   ]
 
 let () =

@@ -677,7 +677,7 @@ let config_validation () =
 
 let short_herd coord_policy n_lbs =
   Cluster.Multi_lb.herd_one
-    ~coord:(Cluster.Multi_lb.coord_config_of coord_policy)
+    ~coord:(Cluster.Coordination.for_policy coord_policy)
     ~n_lbs ~duration:(Des.Time.sec 3) ~inject_at:(Des.Time.sec 1) ()
 
 let fleet_gossip_cuts_churn () =
@@ -721,18 +721,18 @@ let churn_accounting () =
           in
           let config =
             {
-              Cluster.Multi_lb.default_config with
-              Cluster.Multi_lb.n_lbs;
-              coord = Cluster.Multi_lb.coord_config_of policy;
-              pcc = true;
+              Cluster.Multi_lb.fleet with
+              Cluster.Scenario.n_lbs;
+              coord = Cluster.Coordination.for_policy policy;
             }
           in
-          let t = Cluster.Multi_lb.build config in
-          Cluster.Multi_lb.inject_server_delay t ~server:1 ~at:(Des.Time.sec 1)
+          let t = Cluster.Scenario.build config in
+          let oracles = Cluster.Scenario.attach_pcc_fleet t in
+          Cluster.Scenario.inject_server_delay t ~server:1 ~at:(Des.Time.sec 1)
             ~delay:(Des.Time.ms 1);
-          Cluster.Multi_lb.run t ~until:(Des.Time.sec 3);
+          Cluster.Scenario.run t ~until:(Des.Time.sec 3);
           let per_lb =
-            Array.to_list (Cluster.Multi_lb.balancers t)
+            Array.to_list (Cluster.Scenario.balancers t)
             |> List.map (fun b ->
                    match Inband.Balancer.controller b with
                    | Some c -> Inband.Controller.action_count c
@@ -746,15 +746,19 @@ let churn_accounting () =
                     (Option.value ~default:0.0
                        (Telemetry.Registry.value reg "ctl.actions")))
               0
-              (Cluster.Multi_lb.registries t)
+              (Array.init n_lbs (Cluster.Scenario.lb_telemetry t))
+          in
+          let sum_oracles f =
+            Array.fold_left (fun acc o -> acc + f o) 0 oracles
           in
           check_int
             (label ^ ": fleet total = sum of per-LB ctl.actions")
             (List.fold_left ( + ) 0 per_lb)
             from_registries;
-          check_int (label ^ ": PCC-clean") 0 (Cluster.Multi_lb.pcc_violations t);
+          check_int (label ^ ": PCC-clean") 0
+            (sum_oracles Cluster.Oracle.violation_count);
           check_bool (label ^ ": oracle saw traffic") true
-            (Cluster.Multi_lb.pcc_checked t > 0))
+            (sum_oracles Cluster.Oracle.checked > 0))
         [ 1; 2; 4 ])
     Cluster.Coordination.[ Uncoordinated; Gossip_average; Leader ]
 
