@@ -4,16 +4,24 @@
 
      lbsim fig2   [--duration 6] [--step-at 3] [--step-ms 1.0] ...
      lbsim fig3   [--duration 30] [--inject-at 10] [--policy ...] [--law ...]
-     lbsim sweep  (alpha | epoch | timing | policy | law | ...)
+     lbsim sweep  (alpha | epoch | timing | policy | law | ...) [--check]
      lbsim herd   [--coord none|gossip|leader|all] [--law ...] [--lbs 1,2,4]
      lbsim run    [--faults FILE] [--assert-pcc] ...  (free-form scenario)
      lbsim churn  [--faults FILE] [--assert-recovery]
+     lbsim soak   [--minutes 30] [--lbs N] [--coord ...] [--check]
+     lbsim flows  [-n 65536] [--check]
+     lbsim bench  (e2e | micro | history) [--check]
      lbsim estimate --help      (run the estimator over a bulk flow)
 
    Two orthogonal selection axes recur: --policy is the routing policy
    (which backend each new connection goes to); --law is the control
    law (how the feedback controller moves the weight vector, under the
-   latency-aware policy only). *)
+   latency-aware policy only).
+
+   --check turns a run into a CI gate: the verdict comes from the
+   library module that owns the rows (Cluster.Multi_lb, Frontier, Soak,
+   Sharded, Fig3), compared against the committed BENCH_pr*.json
+   baselines, which nothing here writes. *)
 
 open Cmdliner
 
@@ -41,12 +49,52 @@ let pos_int = int_at_least 1
 let nonneg_int = int_at_least 0
 let lb_count = int_at_least ~hi:Cluster.Scenario.max_lbs 1
 
+(* Floats accepted by [ok], named by [what] in the usage error. *)
+let float_where ok what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when ok v -> Ok v
+    | Some _ | None -> Error (`Msg ("expected " ^ what))
+  in
+  Arg.conv (parse, Fmt.float)
+
+let nonneg_float = float_where (fun v -> v >= 0.0) "a number >= 0"
+let fraction = float_where (fun v -> v > 0.0 && v < 1.0) "a number in (0,1)"
+
 let coord_policy =
   let parse s =
     Result.map_error (fun msg -> `Msg msg)
       (Cluster.Coordination.policy_of_string s)
   in
   Arg.conv (parse, Cluster.Coordination.pp_policy)
+
+(* --check: the verdict of a library gate, printed as one line; exit 1
+   names the tripwire that fired. *)
+let check_arg doc = Arg.(value & flag & info [ "check" ] ~doc)
+
+let report_gate ~smoke = function
+  | Ok "" -> Fmt.pr "%s: ok@." smoke
+  | Ok summary -> Fmt.pr "%s: ok (%s)@." smoke summary
+  | Error (tripwire, msg) ->
+      Fmt.epr "%s FAILED (tripwire: %s): %s@." smoke tripwire msg;
+      exit 1
+
+(* The fields of the newest committed BENCH_pr*.json carrying [key], and
+   its path; ([""], []) when none does. *)
+let committed key =
+  match Cluster.Bench_store.locate_opt ~key () with
+  | Some path -> (path, Cluster.Bench_store.read path)
+  | None -> ("", [])
+
+(* A positional target picked from [table], so the enum and the dispatch
+   read one list. Each entry says whether [--check] has a gate to run;
+   asking for one where none exists is a usage error, before any run. *)
+let target_arg table ~docv =
+  Arg.(required & pos 0 (some (enum table)) None & info [] ~docv)
+
+let run_target (gated, f) ~check k =
+  if check && not gated then `Error (true, "--check: this target has no gate")
+  else `Ok (k f)
 
 let policy =
   let parse s =
@@ -183,13 +231,14 @@ let fig2_cmd =
 let fig3_cmd =
   let run duration inject_at inject_ms policies servers connections alpha law
       remap seed csv metrics_csv metrics_interval jobs =
+    let base = Cluster.Fig3.default_scenario in
     let scenario =
       {
-        Cluster.Scenario.default_config with
+        base with
         Cluster.Scenario.n_servers = servers;
-        lb = { Inband.Config.default with Inband.Config.alpha; remap };
+        lb = { base.Cluster.Scenario.lb with Inband.Config.alpha; remap };
         memtier =
-          { Workload.Memtier.default_config with Workload.Memtier.connections };
+          { base.Cluster.Scenario.memtier with Workload.Memtier.connections };
         seed;
       }
     in
@@ -218,7 +267,7 @@ let fig3_cmd =
     Arg.(value & opt sec (Des.Time.sec 10) & info [ "inject-at" ] ~doc:"Injection time, seconds.")
   in
   let inject_ms =
-    Arg.(value & opt float 1.0 & info [ "inject-ms" ] ~doc:"Injected delay, milliseconds.")
+    Arg.(value & opt nonneg_float 1.0 & info [ "inject-ms" ] ~doc:"Injected delay, milliseconds.")
   in
   let policies =
     Arg.(
@@ -233,12 +282,15 @@ let fig3_cmd =
     Arg.(value & opt pos_int 4 & info [ "connections" ] ~doc:"Client connections.")
   in
   let alpha =
-    Arg.(value & opt float 0.10 & info [ "alpha" ] ~doc:"Controller shift fraction.")
+    Arg.(value & opt fraction 0.10 & info [ "alpha" ] ~doc:"Controller shift fraction, in (0,1).")
   in
   let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "fig3"
-       ~doc:"Tail latency under a server delay injection (Fig 3).")
+       ~doc:
+         "Tail latency under a server delay injection (Fig 3), on \
+          $(b,Cluster.Fig3.default_scenario). The paper's own timeline is \
+          $(b,--duration 200 --inject-at 100).")
     Term.(
       const run $ duration $ inject_at $ inject_ms $ policies $ servers
       $ connections $ alpha $ law_arg $ remap_arg $ seed $ csv_arg
@@ -246,50 +298,61 @@ let fig3_cmd =
 
 (* --- sweeps ------------------------------------------------------------ *)
 
+(* Every sweep by name, with whether [--check] gates it. *)
+let sweeps =
+  let module A = Cluster.Ablations in
+  let plain f =
+    (false, fun ~law:_ ~metrics_interval:_ ~dump:_ ~jobs ~check:_ -> f ~jobs)
+  in
+  [
+    ("alpha", plain (fun ~jobs -> A.print_alpha (A.alpha_sweep ~jobs ())));
+    ("epoch", plain (fun ~jobs -> A.print_epoch (A.epoch_sweep ~jobs ())));
+    ("timing", plain (fun ~jobs -> A.print_timing (A.timing_sweep ~jobs ())));
+    ( "policy",
+      ( false,
+        fun ~law ~metrics_interval ~dump ~jobs ~check:_ ->
+          let result = A.policy_comparison ~jobs ~law ~metrics_interval () in
+          Cluster.Fig3.print result;
+          dump result ) );
+    ("far", plain (fun ~jobs -> A.print_far (A.far_clients ~jobs ())));
+    ( "law",
+      ( true,
+        fun ~law:_ ~metrics_interval:_ ~dump:_ ~jobs ~check ->
+          let rows = Cluster.Multi_lb.law_sweep ~jobs () in
+          Cluster.Multi_lb.print_laws rows;
+          if check then
+            report_gate ~smoke:"law-smoke"
+              (Cluster.Multi_lb.law_gate
+                 ~baseline:(snd (committed Cluster.Multi_lb.law_baseline_key))
+                 rows) ) );
+    ( "dependency",
+      plain (fun ~jobs ->
+          Cluster.Dependency.print (Cluster.Dependency.run_cases ~jobs ())) );
+    ( "estimator",
+      plain (fun ~jobs -> A.print_estimator (A.estimator_comparison ~jobs ()))
+    );
+    ("source", plain (fun ~jobs -> A.print_source (A.source_comparison ~jobs ())));
+    ( "remap",
+      ( true,
+        fun ~law:_ ~metrics_interval:_ ~dump:_ ~jobs ~check ->
+          let result = Cluster.Frontier.run ~jobs () in
+          Cluster.Frontier.print result;
+          if check then
+            report_gate ~smoke:"frontier-smoke" (Cluster.Frontier.gate result) )
+    );
+  ]
+
 let sweep_cmd =
-  let run which law metrics_csv metrics_interval jobs =
-    let dump_metrics result =
+  let run which law metrics_csv metrics_interval jobs check =
+    let dump result =
       match metrics_csv with
       | Some path ->
           Cluster.Csv.write_file ~path (Cluster.Csv.fig3_metrics result);
           Fmt.pr "wrote %s@." path
       | None -> ()
     in
-    match which with
-    | "alpha" ->
-        Cluster.Ablations.print_alpha (Cluster.Ablations.alpha_sweep ~jobs ())
-    | "epoch" ->
-        Cluster.Ablations.print_epoch (Cluster.Ablations.epoch_sweep ~jobs ())
-    | "timing" ->
-        Cluster.Ablations.print_timing (Cluster.Ablations.timing_sweep ~jobs ())
-    | "policy" ->
-        let result =
-          Cluster.Ablations.policy_comparison ~jobs ~law ~metrics_interval ()
-        in
-        Cluster.Fig3.print result;
-        dump_metrics result
-    | "far" ->
-        Cluster.Ablations.print_far (Cluster.Ablations.far_clients ~jobs ())
-    | "law" ->
-        Cluster.Multi_lb.print_laws (Cluster.Multi_lb.law_sweep ~jobs ())
-    | "dependency" ->
-        Cluster.Dependency.print (Cluster.Dependency.run_cases ~jobs ())
-    | "estimator" ->
-        Cluster.Ablations.print_estimator
-          (Cluster.Ablations.estimator_comparison ~jobs ())
-    | "source" ->
-        Cluster.Ablations.print_source
-          (Cluster.Ablations.source_comparison ~jobs ())
-    | "remap" ->
-        Cluster.Frontier.print (Cluster.Frontier.run ~jobs ())
-    | other ->
-        Fmt.epr
-          "unknown sweep %S \
-           (alpha|epoch|timing|policy|far|law|dependency|estimator|source|remap)@."
-          other
-  in
-  let which =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SWEEP")
+    run_target which ~check (fun f ->
+        f ~law ~metrics_interval ~dump ~jobs ~check)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -306,8 +369,16 @@ let sweep_cmd =
           control law for the policy sweep; all sweeps honour \
           $(b,--jobs) and render identically at any job count.")
     Term.(
-      const run $ which $ law_arg $ metrics_csv_arg $ metrics_interval_arg
-      $ jobs_arg)
+      ret
+        (const run
+        $ target_arg sweeps ~docv:"SWEEP"
+        $ law_arg $ metrics_csv_arg $ metrics_interval_arg $ jobs_arg
+        $ check_arg
+            "Gate the law sweep (law-smoke: PCC, convergence against the \
+             committed BENCH_pr*.json baseline, gradient p95, gossip \
+             churn) or the remap sweep (frontier-smoke: preserve clean, \
+             heavy column monotone); exit 1 naming the tripwire that \
+             fired."))
 
 (* --- herd: coordinated LB fleet (extended A7) --------------------------- *)
 
@@ -335,41 +406,34 @@ let report_pcc ?(hard = true) oracle =
   end
 
 let herd_cmd =
-  let run coord law remap lbs duration inject_at assert_pcc jobs =
-    let policies =
-      match coord with
-      | "all" -> Ok Cluster.Coordination.[ Uncoordinated; Gossip_average; Leader ]
-      | s -> Result.map (fun p -> [ p ]) (Cluster.Coordination.policy_of_string s)
+  let run policies law remap lbs duration inject_at check jobs =
+    let rows =
+      Cluster.Multi_lb.coord_sweep ~jobs ~law ~remap ~policies ~lb_counts:lbs
+        ~duration ~inject_at ()
     in
-    match policies with
-    | Error msg ->
-        Fmt.epr "--coord: %s@." msg;
-        exit 2
-    | Ok policies ->
-        let rows =
-          Cluster.Multi_lb.coord_sweep ~jobs ~law ~remap ~policies
-            ~lb_counts:lbs ~duration ~inject_at ()
-        in
-        Cluster.Multi_lb.print_coord rows;
-        if assert_pcc then begin
-          let violations =
-            List.fold_left
-              (fun acc r -> acc + r.Cluster.Multi_lb.pcc_violations)
-              0 rows
-          in
-          let checked =
-            List.fold_left
-              (fun acc r -> acc + r.Cluster.Multi_lb.pcc_checked)
-              0 rows
-          in
-          Fmt.pr "pcc: %d packets checked, %d violations@." checked violations;
-          if violations > 0 then exit 1
-        end
+    Cluster.Multi_lb.print_coord rows;
+    if check then
+      report_gate ~smoke:"coord-smoke" (Cluster.Multi_lb.coord_gate rows)
+  in
+  let all = Cluster.Coordination.[ Uncoordinated; Gossip_average; Leader ] in
+  let coord_policies =
+    let parse = function
+      | "all" -> Ok all
+      | s -> (
+          match Cluster.Coordination.policy_of_string s with
+          | Ok p -> Ok [ p ]
+          | Error msg -> Error (`Msg msg))
+    in
+    let print ppf = function
+      | ps when ps = all -> Fmt.string ppf "all"
+      | ps -> Fmt.(list ~sep:comma Cluster.Coordination.pp_policy) ppf ps
+    in
+    Arg.conv (parse, print)
   in
   let coord =
     Arg.(
       value
-      & opt string "all"
+      & opt coord_policies all
       & info [ "coord" ] ~docv:"POLICY"
           ~doc:
             "Coordination policy to run: $(b,none), $(b,gossip), \
@@ -402,7 +466,11 @@ let herd_cmd =
           every controller runs (default the paper's shift-worst).")
     Term.(
       const run $ coord $ law_arg $ remap_arg $ lbs $ duration $ inject_at
-      $ assert_pcc_arg $ jobs_arg)
+      $ check_arg
+          "Gate the run (coord-smoke): exit 1 on any PCC violation, or if \
+           gossip or leader takes more than half the uncoordinated \
+           fleet-total actions at the largest fleet."
+      $ jobs_arg)
 
 (* --- run: free-form scenario ------------------------------------------- *)
 
@@ -556,7 +624,7 @@ let run_cmd =
              runs under latency-aware.")
   in
   let servers = Arg.(value & opt pos_int 2 & info [ "servers" ] ~doc:"Servers.") in
-  let clients = Arg.(value & opt int 1 & info [ "clients" ] ~doc:"Client hosts.") in
+  let clients = Arg.(value & opt pos_int 1 & info [ "clients" ] ~doc:"Client hosts.") in
   let connections =
     Arg.(value & opt pos_int 4 & info [ "connections" ] ~doc:"Connections per client.")
   in
@@ -574,7 +642,7 @@ let run_cmd =
           ~doc:"Inject +inject-ms on the last server's path at this time.")
   in
   let inject_ms =
-    Arg.(value & opt float 1.0 & info [ "inject-ms" ] ~doc:"Injected delay, ms.")
+    Arg.(value & opt nonneg_float 1.0 & info [ "inject-ms" ] ~doc:"Injected delay, ms.")
   in
   let interfere =
     Arg.(
@@ -589,7 +657,7 @@ let run_cmd =
   let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
   let estimate_window =
     Arg.(
-      value & opt int 0
+      value & opt nonneg_int 0
       & info [ "estimate-window" ]
           ~doc:"0 = EWMA estimates (paper); w>0 = median of last w samples.")
   in
@@ -701,12 +769,18 @@ let soak_cmd =
           };
       }
     in
+    print_endline
+      (Cluster.Report.section
+         (Fmt.str "Soak battery (%.0f simulated minutes)"
+            (Des.Time.to_float_s duration /. 60.0)));
+    let t0 = Unix.gettimeofday () in
     let result = Cluster.Soak.run ~config () in
+    let wall_s = Unix.gettimeofday () -. t0 in
     Cluster.Soak.print ~config result;
-    if check && not (Cluster.Soak.ok result) then begin
-      Fmt.epr "soak: flatness, stuck-state or PCC check failed@.";
-      exit 1
-    end
+    Fmt.pr "wall: %.1fs (%.1fx real time)@." wall_s
+      (Des.Time.to_float_s duration /. wall_s);
+    if check then
+      report_gate ~smoke:"soak-smoke" (Cluster.Soak.gate config result)
   in
   let minutes =
     Arg.(
@@ -728,14 +802,12 @@ let soak_cmd =
   in
   let seed = Arg.(value & opt int 0xfeed & info [ "seed" ] ~doc:"Random seed.") in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Exit nonzero unless every watched gauge stayed flat, no \
-             flow or connection was stuck after the drain, the latency \
-             estimator stayed finite, and the PCC oracle saw zero \
-             violations (CI soak-smoke check).")
+    check_arg
+      "Gate the run (soak-smoke): exit 1 unless every watched gauge \
+       stayed flat, no flow or connection was stuck after the drain, the \
+       latency estimator stayed finite, the PCC oracle saw zero \
+       violations and, when the battery has a gap flood, the reassembly \
+       cap refused segments."
   in
   let lbs =
     Arg.(
@@ -773,18 +845,27 @@ let soak_cmd =
 (* --- flows: flow-scale churn ------------------------------------------ *)
 
 let flows_cmd =
-  let run n seed csv =
+  let run n seed csv check =
     let r = Cluster.Sharded.flows ~seed ~n () in
     Fmt.pr "flows: n=%d events=%d responses=%d active_peak=%d@." r.n r.events
       r.responses r.active_peak;
     Fmt.pr "  wall=%.2fs  %.0f events/s  words/flow=%.1f  full_major=%.2fs@."
       r.wall_s r.events_per_sec r.words_per_flow r.full_major_s;
-    match csv with
+    (match csv with
     | None -> ()
     | Some path ->
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc r.Cluster.Sharded.csv);
-        Fmt.pr "wrote %s@." path
+        Fmt.pr "wrote %s@." path);
+    if check then begin
+      let path, baseline = committed Cluster.Sharded.baseline_key in
+      if path <> "" then
+        Fmt.pr "recorded baseline (%s): %.0f events/s, %.1f words/flow@." path
+          (List.assoc Cluster.Sharded.baseline_key baseline)
+          (Option.value ~default:Float.infinity
+             (List.assoc_opt "flows_baseline_words_per_flow" baseline));
+      report_gate ~smoke:"flow-smoke" (Cluster.Sharded.gate ~baseline r)
+    end
   in
   let n =
     Arg.(
@@ -805,7 +886,12 @@ let flows_cmd =
          "Run the flow-scale churn workload (N concurrent flows, FIN + \
           reincarnation churn, idle-expiry drain) and print a per-client \
           CSV summary.")
-    Term.(const run $ n $ seed $ csv_arg)
+    Term.(
+      const run $ n $ seed $ csv_arg
+      $ check_arg
+          "Gate the run (flow-smoke) against the committed \
+           $(b,flows_baseline_*) fields: exit 1 if events/s falls below \
+           half the baseline or live words/flow exceed 1.5x its budget.")
 
 (* --- estimate: run the estimators over a packet-timestamp trace ------- *)
 
@@ -895,6 +981,214 @@ let estimate_cmd =
           trace and print the samples as CSV.")
     Term.(const run $ path $ delta_us $ epoch_ms)
 
+(* --- bench: host-time measurements ---------------------------------- *)
+
+(* Fig. 3 workload throughput, best of three runs, against the committed
+   baseline rate. *)
+let bench_e2e ~check =
+  let duration = Des.Time.sec 10 and iterations = 3 in
+  print_endline
+    (Cluster.Report.section
+       (Fmt.str "End-to-end datapath throughput (Fig. 3 workload, %.0fs sim)"
+          (Des.Time.to_float_s duration)));
+  let best =
+    List.fold_left
+      (fun best i ->
+        let m = Cluster.Fig3.e2e ~duration () in
+        Fmt.pr
+          "run %d/%d: %d events in %.2fs wall = %.0f events/s (%d responses)@."
+          i iterations m.events m.wall_s m.events_per_sec m.responses;
+        match best with
+        | Some (b : Cluster.Fig3.e2e) when b.events_per_sec >= m.events_per_sec
+          ->
+            best
+        | Some _ | None -> Some m)
+      None
+      (List.init iterations succ)
+    |> Option.get
+  in
+  Fmt.pr "best: %.0f events/s@." best.events_per_sec;
+  let baseline = snd (committed Cluster.Fig3.e2e_baseline_key) in
+  (match List.assoc_opt Cluster.Fig3.e2e_baseline_key baseline with
+  | Some b when b > 0.0 ->
+      Fmt.pr "recorded baseline: %.0f events/s (%.2fx)@." b
+        (best.events_per_sec /. b)
+  | Some _ | None -> ());
+  if check then
+    report_gate ~smoke:"perf-smoke" (Cluster.Fig3.e2e_gate ~baseline best)
+
+(* Bechamel microbenchmarks of the per-packet datapath. *)
+let micro_tests () =
+  let open Bechamel in
+  let names n = Array.init n (fun i -> Fmt.str "server-%d" i) in
+  let build_table n =
+    Test.make
+      ~name:(Fmt.str "maglev populate n=%d m=4099" n)
+      (Staged.stage (fun () ->
+           Maglev.Table.populate ~size:4099
+             ~backends:(Array.map (fun s -> (s, 1.0)) (names n))
+             ()))
+  in
+  let pool = Maglev.Pool.create ~names:(names 16) () in
+  let lookup =
+    let h = ref 17 in
+    Test.make ~name:"maglev lookup"
+      (Staged.stage (fun () ->
+           h := (!h * 1103515245) + 12345;
+           Maglev.Pool.lookup pool (!h land max_int)))
+  in
+  let flow_hash =
+    let key =
+      Netsim.Flow_key.v
+        ~src:(Netsim.Addr.v 100 10001)
+        ~dst:(Netsim.Addr.v 1 11211)
+    in
+    Test.make ~name:"flow_key hash"
+      (Staged.stage (fun () -> Netsim.Flow_key.hash key))
+  in
+  let fixed =
+    let ft = Inband.Fixed_timeout.create ~delta:(Des.Time.us 64) ~now:0 in
+    let now = ref 0 in
+    Test.make ~name:"fixed_timeout per packet"
+      (Staged.stage (fun () ->
+           now := !now + 10_000;
+           Inband.Fixed_timeout.on_packet ft ~now:!now))
+  in
+  let ensemble =
+    let e = Inband.Ensemble.create ~config:Inband.Config.default in
+    let f = Inband.Ensemble.create_flow e ~now:0 in
+    let now = ref 0 in
+    Test.make ~name:"ensemble (k=7) per packet"
+      (Staged.stage (fun () ->
+           now := !now + 10_000;
+           Inband.Ensemble.on_packet e f ~now:!now))
+  in
+  let controller =
+    let pool2 = Maglev.Pool.create ~table_size:4099 ~names:(names 2) () in
+    let c =
+      Inband.Controller.create
+        ~config:
+          { Inband.Config.default with Inband.Config.control_interval = 0 }
+        ~pool:pool2 ()
+    in
+    let now = ref 0 in
+    Test.make ~name:"controller on_sample (incl rebuild m=4099)"
+      (Staged.stage (fun () ->
+           now := !now + 1_000_000;
+           Inband.Controller.on_sample c ~now:!now
+             ~server:(!now / 1_000_000 mod 2)
+             (Des.Time.us 200)))
+  in
+  let histogram =
+    let h = Stats.Histogram.create () in
+    let v = ref 1 in
+    Test.make ~name:"histogram record"
+      (Staged.stage (fun () ->
+           v := (!v * 7) mod 10_000_000;
+           Stats.Histogram.record h !v))
+  in
+  Test.make_grouped ~name:"micro"
+    [
+      build_table 2;
+      build_table 16;
+      lookup;
+      flow_hash;
+      fixed;
+      ensemble;
+      controller;
+      histogram;
+    ]
+
+let bench_micro ~check:_ =
+  let open Bechamel in
+  let open Toolkit in
+  print_endline (Cluster.Report.section "Microbenchmarks (Bechamel, ns/op)");
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
+  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] (micro_tests ()) in
+  let ols =
+    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
+  in
+  let results = Analyze.all ols Instance.monotonic_clock raw in
+  let rows =
+    Hashtbl.fold
+      (fun name ols rows ->
+        let est =
+          match Analyze.OLS.estimates ols with
+          | Some [ e ] -> Fmt.str "%.1f" e
+          | Some _ | None -> "-"
+        in
+        let r2 =
+          match Analyze.OLS.r_square ols with
+          | Some r -> Fmt.str "%.4f" r
+          | None -> "-"
+        in
+        [ name; est; r2 ] :: rows)
+      results []
+  in
+  print_endline
+    (Cluster.Report.table
+       ~headers:[ "benchmark"; "ns/op"; "r^2" ]
+       (List.sort compare rows))
+
+(* One row per committed BENCH_pr*.json, oldest first, each column read
+   from the first key of its list that the file carries; "-" where a
+   file predates (or never measured) a metric. *)
+let bench_history ~check:_ =
+  print_endline
+    (Cluster.Report.section "Benchmark history (BENCH_pr*.json, oldest first)");
+  match Cluster.Bench_store.files () with
+  | [] -> print_endline "no BENCH_pr*.json files found"
+  | files ->
+      let cell fields keys render =
+        match List.find_map (fun k -> List.assoc_opt k fields) keys with
+        | Some v -> render v
+        | None -> "-"
+      in
+      let rows =
+        List.rev_map
+          (fun file ->
+            let fields = Cluster.Bench_store.read file in
+            [
+              file;
+              cell fields
+                [ "flows_events_per_sec"; "after_events_per_sec" ]
+                (Fmt.str "%.0f");
+              cell fields [ "flows_live_words_per_flow" ] (Fmt.str "%.1f");
+              cell fields [ "soak_p95_us" ] (Fmt.str "%.1f");
+              cell fields [ "law_baseline_converged_ms" ] (Fmt.str "%.0f");
+            ])
+          files
+      in
+      print_endline
+        (Cluster.Report.table
+           ~headers:[ "file"; "events/s"; "words/flow"; "p95 us"; "converged ms" ]
+           rows)
+
+let bench_cmd =
+  let benches =
+    [
+      ("e2e", (true, bench_e2e));
+      ("micro", (false, bench_micro));
+      ("history", (false, bench_history));
+    ]
+  in
+  let run which check = run_target which ~check (fun f -> f ~check) in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Host-time measurements: $(b,e2e) (Fig. 3 workload events/s, \
+          best of three), $(b,micro) (Bechamel ns/op of the datapath \
+          pieces) or $(b,history) (the committed BENCH_pr*.json \
+          trajectory, oldest first). Nothing is written: a new baseline \
+          is committed as a new BENCH_pr$(i,N).json.")
+    Term.(
+      ret
+        (const run
+        $ target_arg benches ~docv:"BENCH"
+        $ check_arg
+            "Gate $(b,e2e) (perf-smoke): exit 1 if the best events/s falls \
+             below half the committed baseline."))
+
 let main_cmd =
   Cmd.group
     (Cmd.info "lbsim" ~version:"1.0.0"
@@ -911,6 +1205,7 @@ let main_cmd =
       churn_cmd;
       soak_cmd;
       flows_cmd;
+      bench_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

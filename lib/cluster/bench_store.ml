@@ -1,8 +1,7 @@
-(* BENCH_pr*.json files are flat one-line-per-field JSON objects written
-   and parsed here, so neither side needs a JSON dependency. Each bench
-   finds its own baseline in the newest BENCH_pr*.json that carries its
-   keys, so a new PR can record results under a new file without
-   editing the checkers. *)
+(* BENCH_pr*.json files are flat one-line-per-field JSON objects parsed
+   here, so nothing needs a JSON dependency. Each gate finds its own
+   baseline in the newest BENCH_pr*.json that carries its keys, so a new
+   baseline lands as a new file without editing the gates. *)
 
 let read path =
   match open_in path with
@@ -65,23 +64,24 @@ let locate_opt ?(dir = ".") ~key () =
        (fun f -> List.mem_assoc key (read (in_dir dir f)))
        (files ~dir ()))
 
-(* As {!locate_opt}; [fallback] names the file a first-ever run creates. *)
-let locate ?(dir = ".") ~key ~fallback () =
-  match locate_opt ~dir ~key () with
-  | Some path -> path
-  | None -> in_dir dir fallback
+type gate = (string, string * string) result
 
-let write path ~bench fields =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      output_string oc (Fmt.str "  \"bench\": %S,\n" bench);
-      let last = List.length fields - 1 in
-      List.iteri
-        (fun i (key, v) ->
-          output_string oc
-            (Fmt.str "  %S: %.3f%s\n" key v (if i = last then "" else ",")))
-        fields;
-      output_string oc "}\n")
+let recorded ~key fields =
+  match List.assoc_opt key fields with
+  | Some v -> Ok v
+  | None ->
+      Error
+        ( "baseline-discovery",
+          Fmt.str
+            "no BENCH_pr*.json carries %S; a committed baseline is required \
+             under --check"
+            key )
+
+let rate_gate ~recorded events_per_sec =
+  if events_per_sec < 0.5 *. recorded then
+    Error
+      ( "rate",
+        Fmt.str
+          "%.0f events/s is below half the recorded baseline (%.0f events/s)"
+          events_per_sec recorded )
+  else Ok ""

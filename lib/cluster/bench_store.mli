@@ -1,10 +1,10 @@
 (** Flat-JSON benchmark result files ([BENCH_pr<N>.json]).
 
-    One numeric field per line; written and parsed here so neither the
-    bench harness nor the tests need a JSON dependency. Benches discover
-    their baseline in the newest (highest-numbered) file carrying their
-    baseline key, so a new PR can record results under a new file
-    without editing the checkers. *)
+    One numeric field per line; parsed here so neither the CLI nor the
+    tests need a JSON dependency. The committed files are read-only
+    baselines: a gate finds its baseline in the newest (highest-numbered)
+    file carrying its baseline key, so a new baseline is committed as a
+    new file without editing the gates. *)
 
 val read : string -> (string * float) list
 (** Parse the numeric fields of one file. [[]] if unreadable. *)
@@ -18,10 +18,18 @@ val locate_opt : ?dir:string -> key:string -> unit -> string option
 (** Path of the newest file whose fields include [key]; [None] when no
     numbered file carries it. *)
 
-val locate : ?dir:string -> key:string -> fallback:string -> unit -> string
-(** As {!locate_opt}, falling back to [fallback] (in [dir]) — the file
-    a first-ever run creates. *)
+(** {1 Gates} *)
 
-val write : string -> bench:string -> (string * float) list -> unit
-(** Write a file: a ["bench"] name field plus the numeric fields, in
-    order, at 3 decimal places. *)
+type gate = (string, string * string) result
+(** A CI gate's verdict: [Ok summary], or [Error (tripwire, message)]
+    naming the first tripwire that fired. *)
+
+val recorded : key:string -> (string * float) list -> (float, string * string) result
+(** [recorded ~key fields] is [key]'s value in a baseline file's
+    [fields], or the [baseline-discovery] tripwire when it is absent: a
+    gate must compare against a committed baseline, never one it just
+    measured. *)
+
+val rate_gate : recorded:float -> float -> gate
+(** [rate_gate ~recorded events_per_sec]: the [rate] tripwire fires below
+    half the recorded rate; the summary is empty. *)

@@ -251,3 +251,31 @@ let print result =
         r.series;
       Fmt.pr "@.")
     result.runs
+
+(* --- End-to-end datapath throughput ------------------------------------ *)
+
+type e2e = { events_per_sec : float; wall_s : float; events : int; responses : int }
+
+let e2e ?(duration = Des.Time.sec 10) () =
+  let s =
+    Scenario.build
+      { default_scenario with Scenario.policy = Inband.Policy.Latency_aware }
+  in
+  Scenario.inject_server_delay s ~server:victim ~at:(Des.Time.sec 3)
+    ~delay:(Des.Time.ms 1);
+  let t0 = Unix.gettimeofday () in
+  Scenario.run s ~until:duration;
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let events = Des.Engine.events_fired (Scenario.engine s) in
+  let responses =
+    match Telemetry.Registry.value (Scenario.telemetry s) "client.responses" with
+    | Some v -> int_of_float v
+    | None -> 0
+  in
+  { events_per_sec = float_of_int events /. wall_s; wall_s; events; responses }
+
+let e2e_baseline_key = "before_events_per_sec"
+
+let e2e_gate ~baseline m =
+  Result.bind (Bench_store.recorded ~key:e2e_baseline_key baseline)
+    (fun recorded -> Bench_store.rate_gate ~recorded m.events_per_sec)

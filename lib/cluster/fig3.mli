@@ -82,3 +82,28 @@ val run :
     survives as the cross-check. *)
 
 val print : result -> unit
+
+(** {1 End-to-end datapath throughput} *)
+
+type e2e = {
+  events_per_sec : float;  (** [events] / [wall_s]. *)
+  wall_s : float;
+  events : int;  (** DES events fired. *)
+  responses : int;
+}
+
+val e2e : ?duration:Des.Time.t -> unit -> e2e
+(** The Fig. 3 workload stripped of figure bookkeeping: the latency-aware
+    {!default_scenario} with the +1 ms delay injected directly on server
+    1's path at 3 s, run for [duration] (default 10 s) and timed on the
+    wall clock. *)
+
+val e2e_baseline_key : string
+(** ["before_events_per_sec"]: the committed rate {!e2e_gate} compares
+    against. *)
+
+val e2e_gate : baseline:(string * float) list -> e2e -> Bench_store.gate
+(** The perf-smoke gate against the fields of the committed baseline file
+    carrying {!e2e_baseline_key}. Tripwires: [baseline-discovery] (the
+    key is absent) and [rate] (events/s below half the recorded
+    baseline). The summary is empty. *)

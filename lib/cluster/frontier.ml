@@ -252,3 +252,71 @@ let print result =
       result.cells
   in
   print_endline (Report.table ~headers rows)
+
+(* The frontier's own shape is the contract, so the gate needs no
+   committed baseline: preserve is PCC-clean everywhere, and down the
+   heavy column each step of remap aggression buys recovery time and
+   costs stickiness. *)
+let gate result : Bench_store.gate =
+  let ( let* ) = Result.bind in
+  let heavy pred what =
+    match
+      List.find_opt
+        (fun c -> pred c.remap && c.intensity = "heavy")
+        result.cells
+    with
+    | Some c -> Ok c
+    | None -> Error ("grid", Fmt.str "no %s cell at the heavy intensity" what)
+  in
+  let is_preserve = function Inband.Remap.Preserve -> true | _ -> false in
+  let is_ttl = function Inband.Remap.Ttl _ -> true | _ -> false in
+  let is_immediate = function Inband.Remap.Immediate -> true | _ -> false in
+  let* () =
+    match
+      List.find_opt (fun c -> is_preserve c.remap && c.violations > 0)
+        result.cells
+    with
+    | Some c ->
+        Error
+          ( "preserve-pcc",
+            Fmt.str "preserve counted %d violations at the %s intensity"
+              c.violations c.intensity )
+    | None -> Ok ()
+  in
+  let* pre = heavy is_preserve "preserve" in
+  let* ttl = heavy is_ttl "ttl" in
+  let* imm = heavy is_immediate "immediate" in
+  let rec_ms c = Option.value c.recovery_ms ~default:infinity in
+  if
+    not
+      (pre.violation_rate < ttl.violation_rate
+      && ttl.violation_rate < imm.violation_rate)
+  then
+    Error
+      ( "rate-monotone",
+        Fmt.str
+          "heavy-column violation rates are not strictly increasing: \
+           preserve %.6f, ttl %.6f, immediate %.6f"
+          pre.violation_rate ttl.violation_rate imm.violation_rate )
+  else if not (rec_ms pre > rec_ms ttl && rec_ms ttl > rec_ms imm) then
+    Error
+      ( "recovery-monotone",
+        Fmt.str
+          "heavy-column recovery times are not strictly decreasing: \
+           preserve %.0fms, ttl %.0fms, immediate %.0fms"
+          (rec_ms pre) (rec_ms ttl) (rec_ms imm) )
+  else if imm.post_p95_us >= pre.post_p95_us then
+    Error
+      ( "recovery-p95",
+        Fmt.str
+          "immediate's during-fault p95 (%.0fus) does not beat preserve's \
+           (%.0fus) under the heavy fault"
+          imm.post_p95_us pre.post_p95_us )
+  else
+    Ok
+      (Fmt.str
+         "preserve clean; heavy column monotone: rates %.6f < %.6f < %.6f, \
+          recovery %.0fms > %.0fms > %.0fms; immediate during-fault p95 \
+          %.0fus < preserve %.0fus"
+         pre.violation_rate ttl.violation_rate imm.violation_rate (rec_ms pre)
+         (rec_ms ttl) (rec_ms imm) imm.post_p95_us pre.post_p95_us)

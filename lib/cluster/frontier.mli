@@ -73,3 +73,14 @@ val cells_for : result -> Inband.Remap.t -> cell list
 val find_cell : result -> Inband.Remap.t -> string -> cell option
 
 val print : result -> unit
+
+val gate : result -> Bench_store.gate
+(** The frontier-smoke gate; the frontier's shape is the contract, so no
+    committed baseline is needed. Tripwires, in order: [preserve-pcc]
+    (preserve counted a violation in any cell), [grid] (no preserve, ttl
+    or immediate cell at the ["heavy"] intensity), [rate-monotone]
+    (heavy-column violation rates not strictly increasing preserve →
+    ttl → immediate), [recovery-monotone] (heavy-column recovery times
+    not strictly decreasing; [None] counts as infinite) and
+    [recovery-p95] (immediate's during-fault p95 does not beat
+    preserve's). *)

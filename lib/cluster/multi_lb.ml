@@ -295,3 +295,106 @@ let print_laws rows =
        "Ablation A8: control-law zoo — shift-worst (paper) vs knapsack vs \
         gradient, across fleet sizes");
   print_endline (law_table rows)
+
+(* --- Gates ---------------------------------------------------------------- *)
+
+let total_violations rows =
+  List.fold_left (fun acc r -> acc + r.pcc_violations) 0 rows
+
+let coord_gate rows : Bench_store.gate =
+  let violations = total_violations rows in
+  if violations > 0 then Error ("pcc", Fmt.str "%d violations" violations)
+  else
+    let max_lbs = List.fold_left (fun m r -> Stdlib.max m r.n_lbs) 0 rows in
+    let actions_at policy =
+      List.find_map
+        (fun r ->
+          if r.coord = policy && r.n_lbs = max_lbs then Some r.total_actions
+          else None)
+        rows
+    in
+    match actions_at Coordination.Uncoordinated with
+    | None -> Ok "pcc clean"
+    | Some base -> (
+        let churn policy =
+          match actions_at policy with
+          | Some a when 2 * a > base ->
+              Some
+                (Fmt.str
+                   "%s at %d LBs took %d actions, more than half the \
+                    uncoordinated %d"
+                   (Coordination.policy_to_string policy)
+                   max_lbs a base)
+          | Some _ | None -> None
+        in
+        match List.find_map churn Coordination.[ Gossip_average; Leader ] with
+        | Some msg -> Error ("churn", msg)
+        | None ->
+            Ok (Fmt.str "pcc clean; >=2x churn reduction at %d LBs" max_lbs))
+
+let law_baseline_key = "law_baseline_converged_ms"
+
+let law_gate ~baseline rows : Bench_store.gate =
+  let ( let* ) = Result.bind in
+  let* recorded = Bench_store.recorded ~key:law_baseline_key baseline in
+  let find law coord n_lbs =
+    List.find_opt
+      (fun r -> r.law = law && r.coord = coord && r.n_lbs = n_lbs)
+      rows
+  in
+  let measured =
+    match find Inband.Control_law.Shift_worst Coordination.Uncoordinated 1 with
+    | Some r -> r.converged_ms
+    | None -> nan
+  in
+  let violations = total_violations rows in
+  let* () =
+    if violations > 0 then Error ("pcc", Fmt.str "%d violations" violations)
+    else Ok ()
+  in
+  let* () =
+    if Float.is_nan measured then
+      Error
+        ("convergence", "the baseline law (shift-worst, 1 LB) never converged")
+    else if recorded > 0.0 && measured > 1.25 *. recorded then
+      Error
+        ( "convergence",
+          Fmt.str
+            "shift-worst at 1 LB converged in %.0fms, slower than 1.25x the \
+             recorded %.0fms"
+            measured recorded )
+    else Ok ()
+  in
+  let fleet_tripwire n_lbs =
+    match
+      ( find Inband.Control_law.Shift_worst Coordination.Uncoordinated n_lbs,
+        find Inband.Control_law.Gradient Coordination.Uncoordinated n_lbs,
+        find Inband.Control_law.Gradient Coordination.Gossip_average n_lbs )
+    with
+    | Some base, Some grad, _ when grad.p95_after_us > 1.10 *. base.p95_after_us
+      ->
+        Some
+          ( "p95",
+            Fmt.str
+              "gradient post-injection p95 at %d LBs is %.1fus, above 1.1x \
+               shift-worst's %.1fus"
+              n_lbs grad.p95_after_us base.p95_after_us )
+    | Some _, Some grad, Some g
+      when n_lbs > 1 && g.total_actions >= grad.total_actions ->
+        Some
+          ( "churn",
+            Fmt.str
+              "gradient+gossip at %d LBs took %d actions, no fewer than \
+               uncoordinated gradient's %d"
+              n_lbs g.total_actions grad.total_actions )
+    | _ -> None
+  in
+  let lb_counts = List.sort_uniq compare (List.map (fun r -> r.n_lbs) rows) in
+  match List.find_map fleet_tripwire lb_counts with
+  | Some tripwire -> Error tripwire
+  | None ->
+      Ok
+        (Fmt.str
+           "pcc clean; baseline converged in %.0fms; gradient p95 within \
+            1.1x; gossip cuts gradient churn"
+           measured)

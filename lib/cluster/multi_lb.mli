@@ -99,3 +99,24 @@ val law_table : row list -> string
 
 val print_coord : row list -> unit
 val print_laws : row list -> unit
+
+(** {1 Gates} *)
+
+val coord_gate : row list -> Bench_store.gate
+(** The coord-smoke gate over {!coord_sweep} rows. Tripwires: [pcc] (any
+    violation in any run) and [churn] (at the largest fleet, gossip or
+    leader took more than half the uncoordinated fleet-total actions;
+    skipped when no uncoordinated row exists at that size). *)
+
+val law_baseline_key : string
+(** ["law_baseline_converged_ms"]: the committed shift-worst 1-LB
+    convergence time {!law_gate} compares against. *)
+
+val law_gate : baseline:(string * float) list -> row list -> Bench_store.gate
+(** The law-smoke gate over {!law_sweep} rows, against the fields of the
+    committed baseline file carrying {!law_baseline_key}. Tripwires, in
+    order: [baseline-discovery] (the key is absent), [pcc], [convergence]
+    (shift-worst at 1 LB never converged, or took over 1.25x the
+    recorded time), and per fleet size [p95] (gradient's post-injection
+    p95 above 1.1x shift-worst's) and [churn] (gradient+gossip took no
+    fewer actions than uncoordinated gradient at more than one LB). *)

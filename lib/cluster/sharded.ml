@@ -163,3 +163,22 @@ let flows ?(seed = 0) ~n () =
     major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
     csv;
   }
+
+let baseline_key = "flows_baseline_events_per_sec"
+
+let gate ~baseline r : Bench_store.gate =
+  let ( let* ) = Result.bind in
+  let* recorded = Bench_store.recorded ~key:baseline_key baseline in
+  let* _ = Bench_store.rate_gate ~recorded r.events_per_sec in
+  let words =
+    Option.value ~default:Float.infinity
+      (List.assoc_opt "flows_baseline_words_per_flow" baseline)
+  in
+  if r.words_per_flow > 1.5 *. words then
+    Error
+      ( "words",
+        Fmt.str
+          "%.1f live words/flow exceeds the recorded budget (%.1f \
+           words/flow) x1.5"
+          r.words_per_flow words )
+  else Ok ""

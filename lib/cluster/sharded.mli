@@ -37,3 +37,14 @@ val flows : ?seed:int -> n:int -> unit -> result
 
     @raise Invalid_argument if [n < 1] or [seed < 0].
     @raise Failure if any flow survives the idle-expiry drain. *)
+
+val baseline_key : string
+(** ["flows_baseline_events_per_sec"]: the committed rate {!gate}
+    compares against. *)
+
+val gate : baseline:(string * float) list -> result -> Bench_store.gate
+(** The flow-smoke gate against the fields of the committed baseline file
+    carrying {!baseline_key}. Tripwires: [baseline-discovery] (the key is
+    absent), [rate] (events/s below half the baseline) and [words] (live
+    words/flow above 1.5x [flows_baseline_words_per_flow], when
+    recorded). The summary is empty. *)

@@ -289,11 +289,41 @@ type result = {
   rows : Telemetry.Snapshot.row list;
 }
 
-let flat result = List.for_all (fun v -> v.flat) result.verdicts
-
-let ok result =
-  flat result && result.stuck_flows = 0 && result.stuck_conns = 0
-  && result.estimator_ok && result.pcc_violations = 0
+(* The reassembly-cap tripwire only means something when a gap flood
+   attacked: without one, zero refused segments is the healthy state. *)
+let gate config result : Bench_store.gate =
+  let gap_flood =
+    List.exists
+      (function Workload.Pathology.Gap_flood _, _ -> true | _ -> false)
+      config.pathologies
+  in
+  match List.find_opt (fun v -> not v.flat) result.verdicts with
+  | Some v ->
+      Error
+        ( "flatness",
+          Fmt.str "%s grew %+.0f%% across windows%s" v.metric
+            (100.0 *. v.growth)
+            (if v.monotonic then " (strictly monotonic)" else "") )
+  | None ->
+      if result.stuck_flows > 0 || result.stuck_conns > 0 then
+        Error
+          ( "stuck-flows",
+            Fmt.str "%d LB flows and %d server connections survived the drain"
+              result.stuck_flows result.stuck_conns )
+      else if not result.estimator_ok then
+        Error
+          ("estimator", "a post-warmup latency estimate went NaN or infinite")
+      else if result.pcc_violations > 0 then
+        Error ("pcc", Fmt.str "%d violations" result.pcc_violations)
+      else if gap_flood && result.reasm_drops = 0 then
+        Error
+          ( "reasm-cap",
+            "the gap flood never hit the reassembly cap: either the flood is \
+             broken or out-of-order memory is unbounded" )
+      else
+        Ok
+          (Fmt.str "%.1f sim minutes flat; %d reasm drops; pcc clean"
+             result.sim_minutes result.reasm_drops)
 
 (* Pathology clients live at IPs 200+, clear of the scenario's servers
    (10+) and memtier clients (100+). *)
@@ -552,4 +582,4 @@ let print ?(config = default_config) result =
     result.gap_segments result.rsts_sent;
   Fmt.pr "throughput: %d responses  p95=%.1fus  events=%d  verdict=%s@."
     result.responses result.p95_us result.events_fired
-    (if ok result then "PASS" else "FAIL")
+    (if Result.is_ok (gate config result) then "PASS" else "FAIL")

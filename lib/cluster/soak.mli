@@ -24,8 +24,7 @@
     census sum over the fleet, and [coord.backlog] tracks the plane's
     in-flight messages.
 
-    [bench soak] and [lbsim soak] wire this to the command line and
-    CI. *)
+    [lbsim soak] wires this to the command line and CI. *)
 
 type config = {
   scenario : Scenario.config;
@@ -132,11 +131,12 @@ type result = {
 
 val run : ?config:config -> unit -> result
 
-val flat : result -> bool
-(** All watched metrics passed their flatness windows. *)
-
-val ok : result -> bool
-(** {!flat} plus zero stuck flows/conns, healthy estimator, zero PCC
-    violations. *)
+val gate : config -> result -> Bench_store.gate
+(** The soak-smoke gate. Tripwires, in order: [flatness] (the first
+    watched metric that was not flat), [stuck-flows] (a flow or server
+    connection survived the drain), [estimator] (a post-warmup estimate
+    went non-finite), [pcc] (any violation) and [reasm-cap] (no segment
+    was refused at the reassembly cap — only when [config]'s battery
+    contains a [Gap_flood], which must engage the cap). *)
 
 val print : ?config:config -> result -> unit
