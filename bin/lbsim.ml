@@ -1087,8 +1087,27 @@ let micro_tests () =
            v := (!v * 7) mod 10_000_000;
            Stats.Histogram.record h !v))
   in
+  let engine_step =
+    (* Flow-scale queue depth: each fired event posts its successor, so
+       one step is one pop plus one push at 840 pending. *)
+    let e = Des.Engine.create () in
+    let rec f () = Des.Engine.post_after e ~delay:997 f in
+    for i = 1 to 840 do
+      Des.Engine.post e ~at:i f
+    done;
+    Test.make ~name:"engine post+step (840 pending)"
+      (Staged.stage (fun () -> Des.Engine.step e))
+  in
+  let timer_rearm =
+    let e = Des.Engine.create () in
+    let t = Des.Timer.create e ~f:ignore in
+    Test.make ~name:"timer re-arm"
+      (Staged.stage (fun () -> Des.Timer.arm t ~delay:(Des.Time.ms 200)))
+  in
   Test.make_grouped ~name:"micro"
     [
+      engine_step;
+      timer_rearm;
       build_table 2;
       build_table 16;
       lookup;

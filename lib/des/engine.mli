@@ -29,8 +29,8 @@ val schedule_after : t -> delay:Time.t -> (unit -> unit) -> handle
 
 val post : t -> at:Time.t -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule}: no handle is returned, so the event can
-    never be cancelled and its record is recycled through a free list
-    after firing. The dominant schedule-then-fire pattern (link
+    never be cancelled and needs no record — the heap holds the callback
+    by a recycled slot id. The dominant schedule-then-fire pattern (link
     transmissions, service completions, think times) allocates nothing
     but the callback closure in steady state.
 
@@ -48,6 +48,24 @@ val cancel : handle -> unit
     as tombstones but are counted exactly, and the queue is compacted in
     place whenever tombstones exceed half of it, so cancel-heavy
     workloads stay bounded by the live event count. *)
+
+val dormant : t -> handle
+(** A handle that is not scheduled: {!is_pending} is [false] and
+    {!cancel} is a no-op until {!reschedule} queues it. *)
+
+val reschedule : handle -> at:Time.t -> (unit -> unit) -> unit
+(** [reschedule h ~at f] cancels [h] if it is pending, then schedules
+    [f] at [at] under the same handle, exactly as a fresh {!schedule}
+    would (it takes the next sequence number). The handle's record is
+    reused whatever state it was in, so re-arming allocates nothing —
+    this is what {!Timer.arm} runs.
+
+    @raise Invalid_argument if [at] is in the past ([h] is then left
+    cancelled). *)
+
+val is_pending : handle -> bool
+(** [true] iff the event is scheduled and has neither fired nor been
+    cancelled. During its own callback an event is no longer pending. *)
 
 val step : t -> bool
 (** Fire the earliest pending event. Returns [false] if the queue was

@@ -1,33 +1,18 @@
-type t = {
-  engine : Engine.t;
-  f : unit -> unit;
-  mutable pending : Engine.handle option;
-  (* The scheduled callback, built once: [arm] runs on every segment of
-     a TCP transfer (RTO and delayed-ack re-arming), so it must not
-     allocate a fresh closure per call. *)
-  mutable wrapper : unit -> unit;
-}
+(* The timer owns one engine handle for its whole life. [arm] runs on
+   every segment of a TCP transfer (RTO and delayed-ack re-arming), so
+   it reschedules that handle in place — no fresh record, no option
+   cell, no closure. *)
+type t = { engine : Engine.t; f : unit -> unit; ev : Engine.handle }
 
-let create engine ~f =
-  let t = { engine; f; pending = None; wrapper = Fun.id } in
-  t.wrapper <-
-    (fun () ->
-      t.pending <- None;
-      t.f ());
-  t
-
-let stop t =
-  match t.pending with
-  | None -> ()
-  | Some h ->
-      Engine.cancel h;
-      t.pending <- None
+let create engine ~f = { engine; f; ev = Engine.dormant engine }
+let stop t = Engine.cancel t.ev
 
 let arm t ~delay =
   stop t;
-  t.pending <- Some (Engine.schedule_after t.engine ~delay t.wrapper)
+  if delay < 0 then invalid_arg "Timer.arm: negative delay";
+  Engine.reschedule t.ev ~at:(Engine.now t.engine + delay) t.f
 
-let is_armed t = t.pending <> None
+let is_armed t = Engine.is_pending t.ev
 
 let every engine ~period ?start f =
   if period <= 0 then invalid_arg "Timer.every: period must be positive";

@@ -35,30 +35,30 @@ let populate ?perms ?into ~size ~backends () =
         arr
     | None -> Array.make size (-1)
   in
+  (* Deficit round-robin over the backends; each unit of credit claims
+     the backend's next preferred slot that is still free. The probe
+     loop is written out in place so a rebuild allocates no closure per
+     claim — the controller repopulates the table every control
+     interval. *)
   let filled = ref 0 in
   let credit = Array.make n 0.0 in
-  (* A backend claims its next preferred slot that is still free. *)
-  let claim i =
-    let rec go () =
-      if !filled < size then begin
-        let slot = Permutation.next perms.(i) in
-        if table.(slot) = -1 then begin
-          table.(slot) <- i;
-          incr filled
-        end
-        else go ()
-      end
-    in
-    go ()
-  in
   while !filled < size do
     for i = 0 to n - 1 do
       let _, w = backends.(i) in
       if w > 0.0 then begin
         credit.(i) <- credit.(i) +. (w /. max_weight);
+        let perm = perms.(i) in
         while credit.(i) >= 1.0 && !filled < size do
           credit.(i) <- credit.(i) -. 1.0;
-          claim i
+          let claimed = ref false in
+          while not !claimed do
+            let slot = Permutation.next perm in
+            if table.(slot) = -1 then begin
+              table.(slot) <- i;
+              incr filled;
+              claimed := true
+            end
+          done
         done
       end
     done
@@ -71,9 +71,11 @@ let slot_shares table ~n =
   let total = float_of_int (Array.length table) in
   Array.map (fun c -> float_of_int c /. total) counts
 
-let disruption a b =
+let disruption (a : int array) (b : int array) =
   if Array.length a <> Array.length b then
     invalid_arg "Table.disruption: length mismatch";
   let changed = ref 0 in
-  Array.iteri (fun i owner -> if owner <> b.(i) then incr changed) a;
+  for i = 0 to Array.length a - 1 do
+    if a.(i) <> b.(i) then incr changed
+  done;
   float_of_int !changed /. float_of_int (Array.length a)

@@ -1,21 +1,30 @@
-type entry = { flags : int; value : string }
-type t = { table : (string, entry) Hashtbl.t; mutable bytes : int }
+(* Keys are strings: a specialised table compares them with
+   [String.equal] instead of the polymorphic [compare]. *)
+module Stbl = Hashtbl.Make (struct
+  type t = string
 
-let create () = { table = Hashtbl.create 1024; bytes = 0 }
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+type entry = { flags : int; value : string }
+type t = { table : entry Stbl.t; mutable bytes : int }
+
+let create () = { table = Stbl.create 1024; bytes = 0 }
 
 let set t ~key ~flags ~value =
-  (match Hashtbl.find_opt t.table key with
+  (match Stbl.find_opt t.table key with
   | Some old -> t.bytes <- t.bytes - String.length old.value
   | None -> ());
-  Hashtbl.replace t.table key { flags; value };
+  Stbl.replace t.table key { flags; value };
   t.bytes <- t.bytes + String.length value
 
 let get t ~key =
-  match Hashtbl.find_opt t.table key with
+  match Stbl.find_opt t.table key with
   | Some { flags; value } -> Some (flags, value)
   | None -> None
 
-let size t = Hashtbl.length t.table
+let size t = Stbl.length t.table
 let bytes t = t.bytes
 
 let preload t ~count ~key_of ~value_size =

@@ -7,13 +7,25 @@ type ip = int
 let max_ip = (1 lsl 20) - 1
 let link_key ~src ~dst = (src lsl 20) lor dst
 
+(* Int-keyed tables with a monomorphic hash and equality: a hop costs a
+   multiply and an int compare, not the polymorphic [caml_hash] and
+   [compare]. Nothing iterates them, so bucket order is unobservable. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x1E3779B97F4A7C15) lsr 17
+end)
+
 type t = {
   engine : Des.Engine.t;
-  hosts : (ip, Packet.t -> unit) Hashtbl.t;
-  links : (int, Link.t) Hashtbl.t;
+  (* One mutable cell per host: links capture it at [add_link], so
+     [replace_handler] redirects them without a per-hop lookup. *)
+  hosts : (Packet.t -> unit) ref Itbl.t;
+  links : Link.t Itbl.t;
 }
 
-let create engine = { engine; hosts = Hashtbl.create 16; links = Hashtbl.create 16 }
+let create engine = { engine; hosts = Itbl.create 16; links = Itbl.create 16 }
 let engine t = t.engine
 
 let check_ip ~who ip =
@@ -23,40 +35,40 @@ let check_ip ~who ip =
 let register t ~ip handler =
   if ip = 0 then invalid_arg "Fabric.register: ip 0 is reserved";
   check_ip ~who:"Fabric.register" ip;
-  if Hashtbl.mem t.hosts ip then
+  if Itbl.mem t.hosts ip then
     invalid_arg (Fmt.str "Fabric.register: ip %d already registered" ip);
-  Hashtbl.add t.hosts ip handler
+  Itbl.add t.hosts ip (ref handler)
 
 let replace_handler t ~ip handler =
-  if not (Hashtbl.mem t.hosts ip) then
-    invalid_arg (Fmt.str "Fabric.replace_handler: ip %d not registered" ip);
-  Hashtbl.replace t.hosts ip handler
+  match Itbl.find_opt t.hosts ip with
+  | Some cell -> cell := handler
+  | None ->
+      invalid_arg (Fmt.str "Fabric.replace_handler: ip %d not registered" ip)
 
 let add_link t ~src ~dst link =
   check_ip ~who:"Fabric.add_link" src;
   check_ip ~who:"Fabric.add_link" dst;
-  if Hashtbl.mem t.links (link_key ~src ~dst) then
+  if Itbl.mem t.links (link_key ~src ~dst) then
     invalid_arg (Fmt.str "Fabric.add_link: link %d->%d exists" src dst);
-  if not (Hashtbl.mem t.hosts dst) then
-    invalid_arg (Fmt.str "Fabric.add_link: destination %d not registered" dst);
-  (* Deliver through the *current* handler so replace_handler works. *)
-  Link.connect link (fun pkt ->
-      match Hashtbl.find_opt t.hosts dst with
-      | Some handler -> handler pkt
-      | None -> ());
-  Hashtbl.add t.links (link_key ~src ~dst) link
+  match Itbl.find_opt t.hosts dst with
+  | None ->
+      invalid_arg (Fmt.str "Fabric.add_link: destination %d not registered" dst)
+  | Some cell ->
+      (* Deliver through the cell, so replace_handler works. *)
+      Link.connect link (fun pkt -> !cell pkt);
+      Itbl.add t.links (link_key ~src ~dst) link
 
 let deliver t ~ip pkt =
-  match Hashtbl.find_opt t.hosts ip with
-  | Some handler -> handler pkt
+  match Itbl.find_opt t.hosts ip with
+  | Some cell -> !cell pkt
   | None ->
       invalid_arg (Fmt.str "Fabric.deliver: ip %d not registered" ip)
 
-let link_between t ~src ~dst = Hashtbl.find t.links (link_key ~src ~dst)
+let link_between t ~src ~dst = Itbl.find t.links (link_key ~src ~dst)
 
 let send t ~from ?next_hop pkt =
   let hop = match next_hop with Some h -> h | None -> pkt.Packet.dst.Addr.ip in
-  match Hashtbl.find t.links (link_key ~src:from ~dst:hop) with
+  match Itbl.find t.links (link_key ~src:from ~dst:hop) with
   | link -> Link.send link pkt
   | exception Not_found ->
       invalid_arg

@@ -90,24 +90,24 @@ let deliver t pkt =
 (* Transmit the head of the queue; when its last bit leaves, start
    propagation (or drop it if the loss process says so) and move on to
    the next queued packet. *)
-(* Both per-packet events go through the engine's pooled fire-and-forget
-   path: neither is ever cancelled, so the event records are recycled
-   and a packet traversal costs only the two callback closures. *)
+(* Both per-packet events are [post]ed: neither is ever cancelled, so
+   they need no event record and a packet traversal costs only the two
+   callback closures. *)
 let rec start_tx t =
-  match Queue.take_opt t.queue with
-  | None -> t.busy <- false
-  | Some pkt ->
-      t.busy <- true;
-      Des.Engine.post_after t.engine ~delay:(tx_time t pkt) (fun () ->
-          if lost t then Telemetry.Registry.Counter.incr t.m_loss_drops
-          else begin
-            let prop = t.delay + t.extra + jitter_of t in
-            Telemetry.Registry.Counter.incr t.m_sent;
-            Telemetry.Registry.Counter.add t.m_bytes (Packet.wire_size pkt);
-            Des.Engine.post_after t.engine ~delay:prop (fun () ->
-                deliver t pkt)
-          end;
-          start_tx t)
+  if Queue.is_empty t.queue then t.busy <- false
+  else begin
+    let pkt = Queue.take t.queue in
+    t.busy <- true;
+    Des.Engine.post_after t.engine ~delay:(tx_time t pkt) (fun () ->
+        if lost t then Telemetry.Registry.Counter.incr t.m_loss_drops
+        else begin
+          let prop = t.delay + t.extra + jitter_of t in
+          Telemetry.Registry.Counter.incr t.m_sent;
+          Telemetry.Registry.Counter.add t.m_bytes (Packet.wire_size pkt);
+          Des.Engine.post_after t.engine ~delay:prop (fun () -> deliver t pkt)
+        end;
+        start_tx t)
+  end
 
 let send t pkt =
   if t.sink = None then invalid_arg "Link.send: not connected";

@@ -1,9 +1,14 @@
+(* The running sum lives in an all-float record, which OCaml stores
+   flat: [record] adds to it in place instead of boxing a fresh float
+   into a mixed record on every call. *)
+type acc = { mutable sum : float }
+
 type t = {
   sub_bucket_bits : int;
   sub_buckets : int; (* 2^sub_bucket_bits *)
   mutable counts : int array;
   mutable total : int;
-  mutable sum : float;
+  acc : acc;
   mutable min_v : int;
   mutable max_v : int;
 }
@@ -20,7 +25,7 @@ let create ?(sub_bucket_bits = 5) () =
     sub_buckets;
     counts = Array.make ((octaves + 2) * sub_buckets) 0;
     total = 0;
-    sum = 0.0;
+    acc = { sum = 0.0 };
     min_v = max_int;
     max_v = 0;
   }
@@ -67,14 +72,14 @@ let record t v =
   let i = index t v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
-  t.sum <- t.sum +. float_of_int v;
+  t.acc.sum <- t.acc.sum +. float_of_int v;
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
 let count t = t.total
 let min_value t = if t.total = 0 then 0 else t.min_v
 let max_value t = t.max_v
-let mean t = if t.total = 0 then nan else t.sum /. float_of_int t.total
+let mean t = if t.total = 0 then nan else t.acc.sum /. float_of_int t.total
 
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile";
@@ -106,7 +111,7 @@ let merge_into ~dst src =
     (fun i c -> if c > 0 then dst.counts.(i) <- dst.counts.(i) + c)
     src.counts;
   dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum;
+  dst.acc.sum <- dst.acc.sum +. src.acc.sum;
   if src.total > 0 then begin
     if src.min_v < dst.min_v then dst.min_v <- src.min_v;
     if src.max_v > dst.max_v then dst.max_v <- src.max_v
@@ -115,7 +120,7 @@ let merge_into ~dst src =
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;
-  t.sum <- 0.0;
+  t.acc.sum <- 0.0;
   t.min_v <- max_int;
   t.max_v <- 0
 

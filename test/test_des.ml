@@ -25,59 +25,6 @@ let time_pp () =
   Alcotest.(check string) "ms" "2.000ms" (s (Des.Time.ms 2));
   Alcotest.(check string) "s" "3.000s" (s (Des.Time.sec 3))
 
-(* --- Heap -------------------------------------------------------------- *)
-
-let heap_basic () =
-  let h = Des.Heap.create ~cmp:Int.compare in
-  check_bool "empty" true (Des.Heap.is_empty h);
-  List.iter (Des.Heap.add h) [ 5; 3; 8; 1; 9; 2 ];
-  check_int "size" 6 (Des.Heap.size h);
-  check_int "peek min" 1 (Option.get (Des.Heap.peek h));
-  check_int "pop min" 1 (Option.get (Des.Heap.pop h));
-  check_int "next min" 2 (Option.get (Des.Heap.pop h));
-  check_int "size after pops" 4 (Des.Heap.size h)
-
-let heap_sorted_drain () =
-  let h = Des.Heap.create ~cmp:Int.compare in
-  List.iter (Des.Heap.add h) [ 4; 4; 1; 1; 7 ];
-  Alcotest.(check (list int))
-    "to_sorted_list" [ 1; 1; 4; 4; 7 ]
-    (Des.Heap.to_sorted_list h);
-  check_int "non-destructive" 5 (Des.Heap.size h)
-
-let heap_clear () =
-  let h = Des.Heap.create ~cmp:Int.compare in
-  List.iter (Des.Heap.add h) [ 1; 2; 3 ];
-  Des.Heap.clear h;
-  check_bool "cleared" true (Des.Heap.is_empty h);
-  check_bool "pop on empty" true (Des.Heap.pop h = None)
-
-let heap_iter_fold () =
-  let h = Des.Heap.create ~cmp:Int.compare in
-  List.iter (Des.Heap.add h) [ 5; 3; 8; 1; 9; 2 ];
-  let seen = ref [] in
-  Des.Heap.iter h (fun x -> seen := x :: !seen);
-  Alcotest.(check (list int))
-    "iter visits every element" [ 1; 2; 3; 5; 8; 9 ]
-    (List.sort Int.compare !seen);
-  check_int "fold sums all" 28 (Des.Heap.fold h ~init:0 ~f:( + ));
-  check_int "fold counts all" 6 (Des.Heap.fold h ~init:0 ~f:(fun n _ -> n + 1));
-  check_int "non-destructive" 6 (Des.Heap.size h);
-  let empty = Des.Heap.create ~cmp:Int.compare in
-  check_int "fold on empty = init" 42
-    (Des.Heap.fold empty ~init:42 ~f:(fun _ _ -> 0))
-
-let heap_qcheck =
-  QCheck.Test.make ~count:300 ~name:"heap drains every input in sorted order"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Des.Heap.create ~cmp:Int.compare in
-      List.iter (Des.Heap.add h) xs;
-      let drained =
-        List.init (List.length xs) (fun _ -> Option.get (Des.Heap.pop h))
-      in
-      drained = List.sort Int.compare xs && Des.Heap.is_empty h)
-
 (* --- Rng --------------------------------------------------------------- *)
 
 let rng_deterministic () =
@@ -429,6 +376,317 @@ let engine_qcheck_exact_order_wheel =
       in
       List.rev !fired = expected)
 
+(* --- Queue model ------------------------------------------------------- *)
+
+(* One generated program runs against the engine and against a
+   reference queue: an unordered list scanned for its (time, seq)
+   minimum on every step. Both must fire the same labels at the same
+   instants, and agree on [pending] after every operation. *)
+
+type act =
+  | Nothing
+  | Post_child of int (* delay *)
+  | Sched_child of int
+  | Cancel_handle of int (* index into the handles made so far *)
+  | Arm_timer of int * int (* timer, delay *)
+
+type op =
+  | Post of int * act
+  | Sched of int * act
+  | Cancel of int
+  | Arm of int * int
+  | Stop of int
+  | Run_until of int (* delta from now *)
+  | Steps of int
+  | Storm of int (* schedule this many heap-resident events, cancel most *)
+
+(* What a program sees of a simulator; handles are indices in creation
+   order, which both sides share as long as they agree. *)
+type sim = {
+  now : unit -> int;
+  post : at:int -> (unit -> unit) -> unit;
+  schedule : at:int -> (unit -> unit) -> unit;
+  cancel : int -> unit;
+  handles : unit -> int; (* handles made so far *)
+  arm : int -> at:int -> unit;
+  stop : int -> unit;
+  run_until : int -> unit;
+  step : unit -> bool;
+  pending : unit -> int;
+}
+
+let n_timers = 3
+
+let engine_sim log =
+  let e = Des.Engine.create () in
+  let handles = Hashtbl.create 64 in
+  let timers =
+    Array.init n_timers (fun k ->
+        Des.Timer.create e ~f:(fun () -> log (-1 - k) (Des.Engine.now e)))
+  in
+  ( e,
+    {
+      now = (fun () -> Des.Engine.now e);
+      post = (fun ~at f -> Des.Engine.post e ~at f);
+      schedule =
+        (fun ~at f ->
+          Hashtbl.add handles (Hashtbl.length handles)
+            (Des.Engine.schedule e ~at f));
+      cancel =
+        (fun i ->
+          let n = Hashtbl.length handles in
+          if n > 0 then Des.Engine.cancel (Hashtbl.find handles (i mod n)));
+      handles = (fun () -> Hashtbl.length handles);
+      arm =
+        (fun k ~at ->
+          Des.Timer.arm timers.(k) ~delay:(at - Des.Engine.now e));
+      stop = (fun k -> Des.Timer.stop timers.(k));
+      run_until = (fun limit -> Des.Engine.run ~until:limit e);
+      step = (fun () -> Des.Engine.step e);
+      pending = (fun () -> Des.Engine.pending e);
+    } )
+
+type ref_event = {
+  time : int;
+  seq : int;
+  mutable live : bool;
+  f : unit -> unit;
+}
+
+let reference_sim log =
+  let now = ref 0 and next_seq = ref 0 and queue = ref [] in
+  let handles = Hashtbl.create 64 in
+  let timers = Array.make n_timers None in
+  let add ~at f =
+    assert (at >= !now);
+    let ev = { time = at; seq = !next_seq; live = true; f } in
+    incr next_seq;
+    queue := ev :: !queue;
+    ev
+  in
+  let cancel ev = ev.live <- false in
+  let step () =
+    queue := List.filter (fun ev -> ev.live) !queue;
+    match !queue with
+    | [] -> false
+    | first :: _ ->
+        let ev =
+          List.fold_left
+            (fun m ev ->
+              if ev.time < m.time || (ev.time = m.time && ev.seq < m.seq)
+              then ev
+              else m)
+            first !queue
+        in
+        ev.live <- false;
+        now := ev.time;
+        ev.f ();
+        true
+  in
+  let next_time () =
+    List.fold_left
+      (fun m ev -> if ev.live then Stdlib.min m ev.time else m)
+      max_int !queue
+  in
+  {
+    now = (fun () -> !now);
+    post = (fun ~at f -> ignore (add ~at f));
+    schedule =
+      (fun ~at f -> Hashtbl.add handles (Hashtbl.length handles) (add ~at f));
+    cancel =
+      (fun i ->
+        let n = Hashtbl.length handles in
+        if n > 0 then cancel (Hashtbl.find handles (i mod n)));
+    handles = (fun () -> Hashtbl.length handles);
+    arm =
+      (fun k ~at ->
+        Option.iter cancel timers.(k);
+        timers.(k) <-
+          Some
+            (add ~at (fun () ->
+                 timers.(k) <- None;
+                 log (-1 - k) !now)));
+    stop =
+      (fun k ->
+        Option.iter cancel timers.(k);
+        timers.(k) <- None);
+    run_until =
+      (fun limit ->
+        while next_time () <= limit do
+          ignore (step ())
+        done;
+        now := Stdlib.max !now limit);
+    step;
+    pending =
+      (fun () -> List.length (List.filter (fun ev -> ev.live) !queue));
+  }
+
+(* Run [prog] on [sim]; labels are op indices, children 10_000 + index,
+   storm members 20_000 + index, timers negative. *)
+let exec sim log prog =
+  let fire label act () =
+    log label (sim.now ());
+    match act with
+    | Nothing -> ()
+    | Post_child d ->
+        sim.post ~at:(sim.now () + d) (fun () ->
+            log (10_000 + label) (sim.now ()))
+    | Sched_child d ->
+        sim.schedule ~at:(sim.now () + d) (fun () ->
+            log (10_000 + label) (sim.now ()))
+    | Cancel_handle i -> sim.cancel i
+    | Arm_timer (k, d) -> sim.arm k ~at:(sim.now () + d)
+  in
+  let pendings = ref [] in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Post (d, act) -> sim.post ~at:(sim.now () + d) (fire i act)
+      | Sched (d, act) -> sim.schedule ~at:(sim.now () + d) (fire i act)
+      | Cancel h -> sim.cancel h
+      | Arm (k, d) -> sim.arm k ~at:(sim.now () + d)
+      | Stop k -> sim.stop k
+      | Run_until d -> sim.run_until (sim.now () + d)
+      | Steps n ->
+          for _ = 1 to n do
+            ignore (sim.step ())
+          done
+      | Storm n ->
+          (* The wheel's origin can run ahead of the clock by up to the
+             longest delay in the program (about one span), so three
+             spans out the storm is sure to overflow to the heap.
+             Cancelling all but every fifth leaves tombstones past the
+             compaction threshold. *)
+          let base = sim.handles () in
+          for j = 0 to n - 1 do
+            sim.schedule ~at:(sim.now () + (3 * Des.Wheel.span_ns) + (j mod 50))
+              (fun () ->
+                log (20_000 + i) (sim.now ()))
+          done;
+          for j = 0 to n - 1 do
+            if j mod 5 <> 0 then sim.cancel (base + j)
+          done);
+      pendings := sim.pending () :: !pendings)
+    prog;
+  while sim.step () do
+    ()
+  done;
+  List.rev !pendings
+
+let gen_delay =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, int_bound 200) (* heap-resident, plenty of ties *);
+      (3, int_bound (Des.Wheel.tick_ns * 300)) (* wheel levels 0-1 *);
+      (1, map (fun d -> Des.Wheel.span_ns + d) (int_bound 1000)) (* overflow *);
+    ]
+
+let gen_act =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, return Nothing);
+      (2, map (fun d -> Post_child d) gen_delay);
+      (2, map (fun d -> Sched_child d) gen_delay);
+      (2, map (fun i -> Cancel_handle i) nat);
+      ( 2,
+        map2 (fun k d -> Arm_timer (k, d)) (int_bound (n_timers - 1)) gen_delay
+      );
+    ]
+
+let gen_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, map2 (fun d a -> Post (d, a)) gen_delay gen_act);
+      (4, map2 (fun d a -> Sched (d, a)) gen_delay gen_act);
+      (3, map (fun i -> Cancel i) nat);
+      (2, map2 (fun k d -> Arm (k, d)) (int_bound (n_timers - 1)) gen_delay);
+      (1, map (fun k -> Stop k) (int_bound (n_timers - 1)));
+      (1, map (fun d -> Run_until d) gen_delay);
+      (1, map (fun n -> Steps n) (int_bound 8));
+    ]
+
+(* Every program holds at least one cancel storm, big enough (150+ heap
+   entries, four in five cancelled) to force a compaction. *)
+let gen_prog =
+  let open QCheck.Gen in
+  map3
+    (fun pre storm post -> pre @ (Storm storm :: post))
+    (list_size (int_bound 60) gen_op)
+    (int_range 150 300)
+    (list_size (int_bound 60) gen_op)
+
+let engine_matches_reference_model =
+  QCheck.Test.make ~count:300
+    ~name:"engine matches a sorted reference under mixed operations"
+    (QCheck.make gen_prog)
+    (fun prog ->
+      let got = ref [] and want = ref [] in
+      let log r l at = r := (l, at) :: !r in
+      let e, sim = engine_sim (log got) in
+      let sim_pending = exec sim (log got) prog in
+      let ref_pending = exec (reference_sim (log want)) (log want) prog in
+      if Des.Engine.compactions e = 0 then
+        QCheck.Test.fail_report "the cancel storm did not compact";
+      if sim_pending <> ref_pending then
+        QCheck.Test.fail_report "pending diverged from the reference";
+      List.rev !got = List.rev !want)
+
+(* --- Allocation --------------------------------------------------------- *)
+
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let engine_post_step_zero_alloc () =
+  (* Flow-scale steady state: 840 events pending, each step fires one
+     and posts its successor. With the caller's closure hoisted, the
+     queue itself must allocate nothing. *)
+  let e = Des.Engine.create () in
+  let rec f () = Des.Engine.post_after e ~delay:997 f in
+  for i = 1 to 840 do
+    Des.Engine.post e ~at:i f
+  done;
+  for _ = 1 to 10_000 do
+    ignore (Des.Engine.step e)
+  done;
+  let w =
+    words (fun () ->
+        for _ = 1 to 100_000 do
+          ignore (Des.Engine.step e)
+        done)
+  in
+  if w <> 0.0 then Alcotest.failf "post+step allocated %.0f minor words" w;
+  check_int "still 840 pending" 840 (Des.Engine.pending e)
+
+let timer_arm_zero_alloc () =
+  (* RTO-style re-arming, parked in the wheel, and re-arming beyond the
+     wheel's span, which leaves heap tombstones behind: neither
+     allocates. *)
+  let e = Des.Engine.create () in
+  let t = Des.Timer.create e ~f:(fun () -> ()) in
+  let rearm delay () =
+    for _ = 1 to 10_000 do
+      Des.Timer.arm t ~delay
+    done
+  in
+  rearm (Des.Time.ms 200) ();
+  let far = Des.Wheel.span_ns * 2 in
+  rearm far ();
+  let w_wheel = words (rearm (Des.Time.ms 200)) in
+  let w_heap = words (rearm far) in
+  if w_wheel <> 0.0 then
+    Alcotest.failf "wheel re-arm allocated %.0f minor words" w_wheel;
+  if w_heap <> 0.0 then
+    Alcotest.failf "heap re-arm allocated %.0f minor words" w_heap;
+  check_bool "compacted" true (Des.Engine.compactions e > 0);
+  check_int "one pending" 1 (Des.Engine.pending e);
+  Des.Engine.run e;
+  check_bool "fired and disarmed" false (Des.Timer.is_armed t)
+
 (* --- Timer ------------------------------------------------------------- *)
 
 let timer_one_shot () =
@@ -501,14 +759,6 @@ let () =
           Alcotest.test_case "float roundtrip" `Quick time_float_roundtrip;
           Alcotest.test_case "pp" `Quick time_pp;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick heap_basic;
-          Alcotest.test_case "sorted drain" `Quick heap_sorted_drain;
-          Alcotest.test_case "clear" `Quick heap_clear;
-          Alcotest.test_case "iter and fold" `Quick heap_iter_fold;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest [ heap_qcheck ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick rng_deterministic;
@@ -548,6 +798,15 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ engine_qcheck_exact_order_wheel ] );
+      ( "model",
+        [
+          Alcotest.test_case "post+step allocates nothing" `Quick
+            engine_post_step_zero_alloc;
+          Alcotest.test_case "timer re-arm allocates nothing" `Quick
+            timer_arm_zero_alloc;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ engine_matches_reference_model ] );
       ( "timer",
         [
           Alcotest.test_case "one shot" `Quick timer_one_shot;

@@ -220,6 +220,63 @@ let pool_set_weights_vector () =
     (Invalid_argument "Pool.set_weights: length mismatch") (fun () ->
       Maglev.Pool.set_weights p [| 1.0 |])
 
+let pool_rebuild_allocation_bounded () =
+  (* The controller rebuilds the table every control interval. A rebuild
+     reuses the cached permutations and the spare table, so it may only
+     allocate the transient backend list, a handful of words. *)
+  let p = Maglev.Pool.create ~table_size:65537 ~names:(names 3) () in
+  Maglev.Pool.set_weights p [| 0.5; 0.3; 0.2 |];
+  Maglev.Pool.rebuild p;
+  let before = Gc.minor_words () in
+  Maglev.Pool.rebuild p;
+  let words = Gc.minor_words () -. before in
+  if words >= 100.0 then
+    Alcotest.failf "Pool.rebuild allocated %.0f minor words" words
+
+(* The population rule spelled out naively: backends take turns by
+   deficit credit, and a claim walks the backend's permutation to its
+   first free slot. *)
+let reference_populate ~size ~backends =
+  let n = Array.length backends in
+  let perms =
+    Array.map (fun (name, _) -> Maglev.Permutation.create ~name ~size) backends
+  in
+  let max_w = Array.fold_left (fun m (_, w) -> Float.max m w) 0.0 backends in
+  let table = Array.make size (-1) and filled = ref 0 in
+  let credit = Array.make n 0.0 in
+  let rec claim i =
+    let slot = Maglev.Permutation.next perms.(i) in
+    if table.(slot) = -1 then begin
+      table.(slot) <- i;
+      incr filled
+    end
+    else claim i
+  in
+  while !filled < size do
+    Array.iteri
+      (fun i (_, w) ->
+        if w > 0.0 then begin
+          credit.(i) <- credit.(i) +. (w /. max_w);
+          while credit.(i) >= 1.0 && !filled < size do
+            credit.(i) <- credit.(i) -. 1.0;
+            claim i
+          done
+        end)
+      backends
+  done;
+  table
+
+let table_matches_reference =
+  QCheck.Test.make ~count:50 ~name:"populate matches the naive claim loop"
+    QCheck.(list_of_size Gen.(int_range 1 6) (float_range 0.0 1.0))
+    (fun weights ->
+      let backends =
+        Array.of_list
+          (List.mapi (fun i w -> (Fmt.str "s%d" i, w)) (1.0 :: weights))
+      in
+      Maglev.Table.populate ~size:1021 ~backends ()
+      = reference_populate ~size:1021 ~backends)
+
 let pool_errors () =
   Alcotest.check_raises "duplicate names"
     (Invalid_argument "Pool.create: duplicate backend \"a\"") (fun () ->
@@ -278,7 +335,8 @@ let () =
           Alcotest.test_case "errors" `Quick table_errors;
           Alcotest.test_case "deterministic" `Quick table_deterministic;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ table_weighted_qcheck ] );
+        @ List.map QCheck_alcotest.to_alcotest
+            [ table_weighted_qcheck; table_matches_reference ] );
       ( "pool",
         [
           Alcotest.test_case "basics" `Quick pool_basics;
@@ -288,6 +346,8 @@ let () =
             pool_rebuild_applies_weights;
           Alcotest.test_case "set vector" `Quick pool_set_weights_vector;
           Alcotest.test_case "errors" `Quick pool_errors;
+          Alcotest.test_case "rebuild allocation bounded" `Quick
+            pool_rebuild_allocation_bounded;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ pool_weight_change_preserves_most_lookups ] );

@@ -329,6 +329,23 @@ let timeseries_quantile_per_bucket () =
         (abs (row.Stats.Timeseries.quantile - 95_000) <= 3_000)
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
+let recording_allocates_nothing () =
+  (* Every response records into histograms and EWMAs: the float
+     accumulators must be updated in place, not boxed per call. The EWMA
+     samples are literals, so the caller boxes nothing either. *)
+  let h = Stats.Histogram.create () and e = Stats.Ewma.create ~alpha:0.1 in
+  Stats.Histogram.record h 1;
+  Stats.Ewma.add e 1.0;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Stats.Histogram.record h (i * 977);
+    Stats.Ewma.add e (if i land 1 = 0 then 2.5 else 7.5)
+  done;
+  let words = Gc.minor_words () -. before in
+  if words <> 0.0 then
+    Alcotest.failf "recording allocated %.0f minor words" words;
+  check_int "recorded" 10_001 (Stats.Histogram.count h)
+
 let () =
   Alcotest.run "stats"
     [
@@ -356,6 +373,8 @@ let () =
           Alcotest.test_case "merge" `Quick hist_merge;
           Alcotest.test_case "clear" `Quick hist_clear;
           Alcotest.test_case "fold buckets" `Quick hist_fold_buckets;
+          Alcotest.test_case "recording allocates nothing" `Quick
+            recording_allocates_nothing;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ hist_quantile_relative_error; hist_bucket_bounds_contain ] );

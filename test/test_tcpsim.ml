@@ -504,6 +504,18 @@ let paced_acks_are_spaced () =
   (* The data ACK is held for the 2 ms pacing delay. *)
   check_bool "ack held back" true (after > before)
 
+let rto_observe_allocates_nothing () =
+  (* [observe] runs once per acked segment: the smoothed estimates are
+     updated in place, not boxed per call. *)
+  let r = Tcpsim.Rto.create () in
+  Tcpsim.Rto.observe r (Des.Time.ms 4);
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Tcpsim.Rto.observe r (Des.Time.us (100 + i))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words <> 0.0 then Alcotest.failf "observe allocated %.0f minor words" words
+
 let () =
   Alcotest.run "tcpsim"
     [
@@ -514,6 +526,8 @@ let () =
           Alcotest.test_case "smoothing" `Quick rto_smoothing;
           Alcotest.test_case "backoff and reset" `Quick rto_backoff_and_reset;
           Alcotest.test_case "bounds" `Quick rto_bounds;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            rto_observe_allocates_nothing;
         ] );
       ( "reassembly",
         [
